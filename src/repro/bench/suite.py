@@ -24,7 +24,7 @@ The hot paths, mapped to the paper:
   ratio IS the decomposition speed-up (serial by construction: the timed
   region runs under ``force_serial``).  Both solve benches use the
   literal Algorithm 1 ``best-gain-winner`` schedule on the batched
-  kernel, where decomposition shortens the per-move candidate sweep;
+  kernel, where decomposition shortens the per-move winner choice;
   run them at ``XL`` for the trajectory point;
 * ``delivery.greedy`` / ``delivery.greedy.batched`` — Phase 2
   marginal-latency-per-byte placement (Eq. 17, Theorems 6–7) as a kernel
@@ -262,8 +262,9 @@ benchmark(
 
 
 #: The shard solve pair plays the literal Algorithm 1 schedule: one winner
-#: per round means the global run pays a full candidate sweep per move,
-#: which is exactly the cost decomposition amortises per shard.
+#: per round means the global run chooses over every player per move (its
+#: best-response table re-evaluates only the rows a move touches), the
+#: cost decomposition shrinks to per-shard size.
 _SHARD_GAME_CFG = GameConfig(schedule="best-gain-winner", kernel="batched")
 
 

@@ -161,8 +161,9 @@ class GameConfig:
     kernel:
         Best-response evaluation kernel.  ``"reference"`` evaluates users
         one at a time through :meth:`SinrEngine.candidates`;
-        ``"batched"`` evaluates all users' candidate grids in one einsum
-        pass per round (:meth:`SinrEngine.batch_best_responses`).  The two
+        ``"batched"`` keeps every user's best response in a table filled by
+        one einsum pass (:meth:`SinrEngine.batch_best_responses`) and
+        re-evaluates only the rows a move touches.  The two
         are a verified pair: identical move sequences, identical equilibria
         (see ``repro.bench.parity`` and docs/BENCHMARKING.md).
     epsilon:

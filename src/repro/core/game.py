@@ -32,11 +32,15 @@ returned without a certificate that holds.
 
 Each schedule runs on one of two interchangeable evaluation kernels
 (:class:`~repro.config.GameConfig` ``kernel``): the per-user ``"reference"``
-loop, or the ``"batched"`` kernel that evaluates every user's candidate grid
-in one einsum pass per round via
-:meth:`~repro.radio.sinr.SinrEngine.batch_best_responses`.  The pair is
-verified bit-for-bit — identical move sequences (``GameResult.move_log``),
-identical equilibria, identical certificates — by ``repro.bench.parity`` and
+loop, which evaluates every eligible user at every turn, or the
+``"batched"`` kernel, which keeps every player's best response in one
+incremental table (:class:`_BestResponseTable`).  The table is filled by
+one :meth:`~repro.radio.sinr.SinrEngine.batch_best_responses` pass when
+the run starts; after a move only the users covered by the mover's old or
+new server are re-evaluated, so a run costs O(moves × coverage) row
+evaluations instead of O(moves × M).  The pair is verified bit-for-bit —
+identical move sequences (``GameResult.move_log``), identical equilibria,
+identical certificates — by ``repro.bench.parity`` and
 ``tests/core/test_game_kernels.py``.
 """
 
@@ -106,6 +110,80 @@ class GameResult:
         return (
             f"GameResult(rounds={self.rounds}, moves={self.moves}, "
             f"nash={self.is_nash}, t={self.wall_time_s:.3f}s)"
+        )
+
+
+class _BestResponseTable:
+    """Every player's best response, re-evaluated only where a move changed it.
+
+    Moving a user from server ``old`` to server ``new`` changes the channel
+    powers of those two servers alone, so only the users they cover see a
+    new interference aggregate, hence a new best response or current
+    benefit (the mover is covered by ``new``).  :meth:`moved` marks exactly
+    those rows stale; :meth:`rows` and :meth:`row` re-evaluate stale rows
+    on read (a non-player's flag is never read).  A row's floats do not
+    depend on the batch it is evaluated in
+    (:meth:`SinrEngine.batch_best_responses` reduces each padded row on its
+    own), so the table always equals a fresh full pass bit for bit.
+    """
+
+    def __init__(self, engine: SinrEngine, players: np.ndarray) -> None:
+        m = engine.scenario.n_users
+        self.engine = engine
+        self.server = np.full(m, UNALLOCATED, dtype=np.int64)
+        self.channel = np.full(m, UNALLOCATED, dtype=np.int64)
+        self.benefit = np.zeros(m)
+        self.current_benefit = np.zeros(m)
+        self.stale = np.zeros(m, dtype=bool)
+        self._refresh(players)
+
+    def _refresh(self, users: np.ndarray) -> None:
+        batch = self.engine.batch_best_responses(users)
+        self.server[users] = batch.server
+        self.channel[users] = batch.channel
+        self.benefit[users] = batch.benefit
+        self.current_benefit[users] = batch.current_benefit
+        self.stale[users] = False
+
+    def moved(self, old: int, new: int) -> None:
+        """Mark the rows a move from server ``old`` to ``new`` touches."""
+        self.stale |= self.engine.coverage[new]
+        if old != UNALLOCATED:
+            self.stale |= self.engine.coverage[old]
+
+    def rows(self, users: np.ndarray) -> BatchBestResponse:
+        """The current rows of ``users``, stale ones re-evaluated first."""
+        stale = users[self.stale[users]]
+        if stale.size:
+            self._refresh(stale)
+        return BatchBestResponse(
+            users=users,
+            server=self.server[users],
+            channel=self.channel[users],
+            benefit=self.benefit[users],
+            current_benefit=self.current_benefit[users],
+        )
+
+    def row(self, j: int) -> BestResponse | None:
+        """User ``j``'s current row; ``None`` when no server covers it.
+
+        A lone stale row (always a covered user's) is re-evaluated on the
+        per-user path, which gives the same floats as a batched row at a
+        lower fixed cost.
+        """
+        if self.stale[j]:
+            view = self.engine.candidates(j)
+            self.server[j], self.channel[j], self.benefit[j] = view.best("benefit")
+            self.current_benefit[j] = self.engine.user_benefit(j)
+            self.stale[j] = False
+        if self.server[j] == UNALLOCATED:
+            return None
+        return BestResponse(
+            user=j,
+            server=int(self.server[j]),
+            channel=int(self.channel[j]),
+            benefit=float(self.benefit[j]),
+            current_benefit=float(self.current_benefit[j]),
         )
 
 
@@ -231,17 +309,13 @@ class IddeUGame:
                 users=self.instance.n_users,
                 warm_start=initial is not None,
             ) as span:
+                table = _BestResponseTable(engine, self._players()) if batched else None
                 if schedule == "round-robin":
-                    sweep = (
-                        self._run_round_robin_batched if batched else self._run_round_robin
-                    )
-                    rounds, moves, converged, eps, moves_of = sweep(engine, trace, log)
+                    outcome = self._run_round_robin(engine, trace, log, table)
                 else:
                     best_gain = schedule == "best-gain-winner"
-                    winner = self._run_winner_batched if batched else self._run_winner
-                    rounds, moves, converged, eps, moves_of = winner(
-                        engine, trace, log, rng, best_gain=best_gain
-                    )
+                    outcome = self._run_winner(engine, trace, log, rng, best_gain, table)
+                rounds, moves, converged, eps, moves_of = outcome
 
                 profile = AllocationProfile(engine.alloc_server, engine.alloc_channel)
                 # If the dynamics truncated (max_rounds), the profile is
@@ -255,6 +329,7 @@ class IddeUGame:
                 span.set(
                     rounds=rounds,
                     moves=moves,
+                    br_rows=engine.br_rows,
                     converged=converged,
                     is_nash=nash,
                     effective_epsilon=eps,
@@ -281,7 +356,10 @@ class IddeUGame:
         br: BestResponse,
         trace: list[float],
         log: list[tuple[int, int, int]],
+        table: _BestResponseTable | None,
     ) -> None:
+        if table is not None:
+            table.moved(int(engine.alloc_server[br.user]), br.server)
         engine.move(br.user, br.server, br.channel)
         log.append((br.user, br.server, br.channel))
         if self.tracer.enabled:
@@ -304,6 +382,7 @@ class IddeUGame:
         players: np.ndarray,
         moves_of: np.ndarray,
         eps: float,
+        moves: int,
     ) -> float | None:
         """Escalated epsilon if a move-capped player still improves, else None.
 
@@ -336,6 +415,11 @@ class IddeUGame:
                 new_eps = max(
                     eps * self.cfg.epsilon_growth, float(np.finfo(np.float64).eps)
                 )
+                _log.debug(
+                    "capped users still deviate: escalated epsilon to %.1e after %d moves",
+                    new_eps,
+                    moves,
+                )
                 if self.tracer.enabled:
                     self.tracer.event(
                         "game.epsilon_escalation",
@@ -364,8 +448,19 @@ class IddeUGame:
         return new_eps
 
     def _run_round_robin(
-        self, engine: SinrEngine, trace: list[float], log: list[tuple[int, int, int]]
+        self,
+        engine: SinrEngine,
+        trace: list[float],
+        log: list[tuple[int, int, int]],
+        table: _BestResponseTable | None,
     ) -> tuple[int, int, bool, float, np.ndarray]:
+        """Round-robin sweeps: users in index order, each applying its best
+        response at once; a sweep with no move ends the run.
+
+        On the batched kernel a turn reads the user's row of ``table``,
+        re-evaluated only if a move since its last evaluation touched one
+        of its covering servers; the reference kernel evaluates every turn.
+        """
         m = self.instance.n_users
         players = self._players()
         moves = 0
@@ -375,102 +470,28 @@ class IddeUGame:
         moves_of = np.zeros(m, dtype=np.int64)
         cap = self.cfg.max_moves_per_user
         for rounds in range(1, self.cfg.max_rounds + 1):
+            if table is not None:
+                # Rows staled after their turn last sweep: one batch beats
+                # re-evaluating them one by one below.
+                table.rows(players[moves_of[players] < cap])
             moved = False
             for j in players:
                 j = int(j)
                 if moves_of[j] >= cap:
                     continue
-                br = self.best_response(engine, j)
+                br = self.best_response(engine, j) if table is None else table.row(j)
                 if self._improves(br, engine, eps):
                     assert br is not None
-                    self._apply(engine, br, trace, log)
+                    self._apply(engine, br, trace, log, table)
                     moves += 1
                     moves_of[j] += 1
                     since_escalation += 1
                     moved = True
             if not moved:
-                unfrozen = self._unfreeze_capped(engine, players, moves_of, eps)
+                unfrozen = self._unfreeze_capped(engine, players, moves_of, eps, moves)
                 if unfrozen is None:
                     return rounds, moves, True, eps, moves_of
-                eps = unfrozen
-                since_escalation = 0
-                _log.debug(
-                    "capped users still deviate: escalated epsilon to %.1e "
-                    "after %d moves",
-                    eps,
-                    moves,
-                )
-                continue
-            if since_escalation >= patience and eps < self.cfg.epsilon_max:
-                eps = self._escalate_patience(eps, moves, "round-robin")
-                since_escalation = 0
-        _log.info("round-robin truncated at max_rounds=%d", self.cfg.max_rounds)
-        return self.cfg.max_rounds, moves, False, eps, moves_of
-
-    def _run_round_robin_batched(
-        self, engine: SinrEngine, trace: list[float], log: list[tuple[int, int, int]]
-    ) -> tuple[int, int, bool, float, np.ndarray]:
-        """Round-robin sweeps on the batched kernel.
-
-        All users are evaluated in one einsum pass against the sweep-start
-        state; within the sweep, a move at server ``i`` only perturbs the
-        interference of users covered by ``i``, so exactly those users are
-        marked stale and re-evaluated per-user at their turn.  Fresh batch
-        entries and per-user fallbacks are bit-for-bit interchangeable
-        (shared padded reduction), so the move sequence is identical to
-        :meth:`_run_round_robin`.
-        """
-        m = self.instance.n_users
-        players = self._players()
-        coverage = self.instance.scenario.coverage
-        moves = 0
-        eps = self.cfg.epsilon
-        patience = self.cfg.patience_for(m)
-        since_escalation = 0
-        moves_of = np.zeros(m, dtype=np.int64)
-        cap = self.cfg.max_moves_per_user
-        for rounds in range(1, self.cfg.max_rounds + 1):
-            eligible = players[moves_of[players] < cap]
-            batch = engine.batch_best_responses(eligible)
-            stale = np.zeros(m, dtype=bool)
-            moved = False
-            for pos in range(eligible.shape[0]):
-                j = int(eligible[pos])
-                if stale[j]:
-                    br = self.best_response(engine, j)
-                elif batch.server[pos] == UNALLOCATED:
-                    br = None
-                else:
-                    br = BestResponse(
-                        user=j,
-                        server=int(batch.server[pos]),
-                        channel=int(batch.channel[pos]),
-                        benefit=float(batch.benefit[pos]),
-                        current_benefit=float(batch.current_benefit[pos]),
-                    )
-                if self._improves(br, engine, eps):
-                    assert br is not None
-                    old = int(engine.alloc_server[j])
-                    self._apply(engine, br, trace, log)
-                    moves += 1
-                    moves_of[j] += 1
-                    since_escalation += 1
-                    moved = True
-                    stale |= coverage[br.server]
-                    if old != UNALLOCATED:
-                        stale |= coverage[old]
-            if not moved:
-                unfrozen = self._unfreeze_capped(engine, players, moves_of, eps)
-                if unfrozen is None:
-                    return rounds, moves, True, eps, moves_of
-                eps = unfrozen
-                since_escalation = 0
-                _log.debug(
-                    "capped users still deviate: escalated epsilon to %.1e "
-                    "after %d moves",
-                    eps,
-                    moves,
-                )
+                eps, since_escalation = unfrozen, 0
                 continue
             if since_escalation >= patience and eps < self.cfg.epsilon_max:
                 eps = self._escalate_patience(eps, moves, "round-robin")
@@ -484,72 +505,15 @@ class IddeUGame:
         trace: list[float],
         log: list[tuple[int, int, int]],
         rng: np.random.Generator,
-        *,
         best_gain: bool,
+        table: _BestResponseTable | None,
     ) -> tuple[int, int, bool, float, np.ndarray]:
-        m = self.instance.n_users
-        players = self._players()
-        moves = 0
-        eps = self.cfg.epsilon
-        patience = self.cfg.patience_for(m)
-        since_escalation = 0
-        moves_of = np.zeros(m, dtype=np.int64)
-        cap = self.cfg.max_moves_per_user
-        for rounds in range(1, self.cfg.max_rounds + 1):
-            candidates: list[BestResponse] = []
-            for j in players:
-                j = int(j)
-                if moves_of[j] >= cap:
-                    continue
-                br = self.best_response(engine, j)
-                if self._improves(br, engine, eps):
-                    assert br is not None
-                    candidates.append(br)
-            if not candidates:
-                unfrozen = self._unfreeze_capped(engine, players, moves_of, eps)
-                if unfrozen is None:
-                    return rounds, moves, True, eps, moves_of
-                eps = unfrozen
-                since_escalation = 0
-                _log.debug(
-                    "capped users still deviate: escalated epsilon to %.1e "
-                    "after %d moves",
-                    eps,
-                    moves,
-                )
-                continue
-            if best_gain:
-                winner = max(candidates, key=lambda b: (b.gain, -b.user))
-            else:
-                winner = candidates[int(rng.integers(0, len(candidates)))]
-            self._apply(engine, winner, trace, log)
-            moves += 1
-            moves_of[winner.user] += 1
-            since_escalation += 1
-            if since_escalation >= patience and eps < self.cfg.epsilon_max:
-                eps = self._escalate_patience(eps, moves, "winner schedule")
-                since_escalation = 0
-        _log.info("winner schedule truncated at max_rounds=%d", self.cfg.max_rounds)
-        return self.cfg.max_rounds, moves, False, eps, moves_of
+        """Winner schedules: each round one improving user moves — the one
+        with the largest gain (Algorithm 1) or a uniformly random one.
 
-    def _run_winner_batched(
-        self,
-        engine: SinrEngine,
-        trace: list[float],
-        log: list[tuple[int, int, int]],
-        rng: np.random.Generator,
-        *,
-        best_gain: bool,
-    ) -> tuple[int, int, bool, float, np.ndarray]:
-        """Winner schedules on the batched kernel.
-
-        Each round evaluates every eligible user against the same fixed
-        state — exactly what the per-user winner loop does — so one
-        ``batch_best_responses`` pass replaces the whole candidate sweep.
-        The winner choice preserves the reference tie-breaks: ``argmax``
-        returns the lowest improving user among equal gains (the reference's
-        ``(gain, -user)`` key), and the random winner draws the same index
-        from the identical candidate list, keeping the rng stream aligned.
+        The batched kernel picks the winner from ``table``
+        (:meth:`_winner_batched`), the reference kernel from a per-user
+        sweep (:meth:`_winner_reference`); both pick the same user.
         """
         m = self.instance.n_users
         players = self._players()
@@ -561,35 +525,17 @@ class IddeUGame:
         cap = self.cfg.max_moves_per_user
         for rounds in range(1, self.cfg.max_rounds + 1):
             eligible = players[moves_of[players] < cap]
-            batch = engine.batch_best_responses(eligible)
-            improving = self._improving_mask(engine, batch, eps)
-            idx = np.flatnonzero(improving)
-            if idx.size == 0:
-                unfrozen = self._unfreeze_capped(engine, players, moves_of, eps)
+            if table is None:
+                winner = self._winner_reference(engine, eligible, eps, rng, best_gain)
+            else:
+                winner = self._winner_batched(engine, table, eligible, eps, rng, best_gain)
+            if winner is None:
+                unfrozen = self._unfreeze_capped(engine, players, moves_of, eps, moves)
                 if unfrozen is None:
                     return rounds, moves, True, eps, moves_of
-                eps = unfrozen
-                since_escalation = 0
-                _log.debug(
-                    "capped users still deviate: escalated epsilon to %.1e "
-                    "after %d moves",
-                    eps,
-                    moves,
-                )
+                eps, since_escalation = unfrozen, 0
                 continue
-            if best_gain:
-                gains = batch.benefit[idx] - batch.current_benefit[idx]
-                pos = int(idx[int(np.argmax(gains))])
-            else:
-                pos = int(idx[int(rng.integers(0, idx.size))])
-            winner = BestResponse(
-                user=int(batch.users[pos]),
-                server=int(batch.server[pos]),
-                channel=int(batch.channel[pos]),
-                benefit=float(batch.benefit[pos]),
-                current_benefit=float(batch.current_benefit[pos]),
-            )
-            self._apply(engine, winner, trace, log)
+            self._apply(engine, winner, trace, log, table)
             moves += 1
             moves_of[winner.user] += 1
             since_escalation += 1
@@ -599,21 +545,65 @@ class IddeUGame:
         _log.info("winner schedule truncated at max_rounds=%d", self.cfg.max_rounds)
         return self.cfg.max_rounds, moves, False, eps, moves_of
 
-    def _improving_mask(
-        self, engine: SinrEngine, batch: BatchBestResponse, eps: float
-    ) -> np.ndarray:
-        """Vectorised :meth:`_improves` over a :class:`BatchBestResponse`."""
-        users = batch.users
-        has_candidate = batch.server != UNALLOCATED
-        cur_server = engine.alloc_server[users]
-        cur_channel = engine.alloc_channel[users]
-        unallocated = cur_server == UNALLOCATED
-        threshold = batch.current_benefit * (1.0 + eps) + eps * 1e-30
-        same = (batch.server == cur_server) & (batch.channel == cur_channel)
-        return has_candidate & np.where(
-            unallocated,
-            batch.benefit > 0.0,
-            ~same & (batch.benefit > threshold),
+    def _winner_reference(
+        self,
+        engine: SinrEngine,
+        eligible: np.ndarray,
+        eps: float,
+        rng: np.random.Generator,
+        best_gain: bool,
+    ) -> BestResponse | None:
+        """The round's winner from a per-user sweep of the eligible users."""
+        candidates: list[BestResponse] = []
+        for j in eligible:
+            br = self.best_response(engine, int(j))
+            if self._improves(br, engine, eps):
+                assert br is not None
+                candidates.append(br)
+        if not candidates:
+            return None
+        if best_gain:
+            return max(candidates, key=lambda b: (b.gain, -b.user))
+        return candidates[int(rng.integers(0, len(candidates)))]
+
+    def _winner_batched(
+        self,
+        engine: SinrEngine,
+        table: _BestResponseTable,
+        eligible: np.ndarray,
+        eps: float,
+        rng: np.random.Generator,
+        best_gain: bool,
+    ) -> BestResponse | None:
+        """The reference winner, chosen from the best-response table.
+
+        ``argmax`` returns the lowest improving user among equal gains (the
+        reference's ``(gain, -user)`` key), and the random winner draws the
+        same index from the identical candidate list, keeping the rng
+        stream aligned.
+        """
+        rows = table.rows(eligible)
+        # Vectorised :meth:`_improves` over the rows.
+        cur_server = engine.alloc_server[eligible]
+        same = (rows.server == cur_server) & (rows.channel == engine.alloc_channel[eligible])
+        threshold = rows.current_benefit * (1.0 + eps) + eps * 1e-30
+        improving = (rows.server != UNALLOCATED) & np.where(
+            cur_server == UNALLOCATED, rows.benefit > 0.0, ~same & (rows.benefit > threshold)
+        )
+        idx = np.flatnonzero(improving)
+        if idx.size == 0:
+            return None
+        if best_gain:
+            gains = rows.benefit[idx] - rows.current_benefit[idx]
+            pos = int(idx[int(np.argmax(gains))])
+        else:
+            pos = int(idx[int(rng.integers(0, idx.size))])
+        return BestResponse(
+            user=int(rows.users[pos]),
+            server=int(rows.server[pos]),
+            channel=int(rows.channel[pos]),
+            benefit=float(rows.benefit[pos]),
+            current_benefit=float(rows.current_benefit[pos]),
         )
 
     # ------------------------------------------------------------------

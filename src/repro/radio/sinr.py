@@ -213,6 +213,8 @@ class SinrEngine:
         self.tracer: Tracer = NULL_TRACER
         self._scalar_kernel_seen = False
         self._batch_kernel_seen = False
+        #: Best-response rows evaluated so far, batched or per-user.
+        self.br_rows = 0
 
     def set_tracer(self, tracer: Tracer | None) -> None:
         """Attach an IDDE-Trace tracer (``None`` restores the no-op)."""
@@ -399,6 +401,7 @@ class SinrEngine:
         else:
             users = np.asarray(users, dtype=np.int64)
         u = users.shape[0]
+        self.br_rows += u
         if self.tracer.enabled:
             self.tracer.count("sinr.batch_rounds")
             if not self._batch_kernel_seen:
@@ -448,6 +451,7 @@ class SinrEngine:
 
     def candidates(self, j: int) -> CandidateView:
         """Evaluate every candidate ``(server, channel)`` for user ``j``."""
+        self.br_rows += 1
         if self.tracer.enabled:
             self.tracer.count("sinr.scalar_evals")
             if not self._scalar_kernel_seen:

@@ -6,13 +6,20 @@ stream, hence the same ``move_log``.  These tests pin that contract in
 the suite; ``idde bench --verify-parity`` checks the same grid in CI.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import GameConfig
 from repro.core.game import IddeUGame
 from repro.core.instance import IDDEInstance
+from repro.core.profiles import AllocationProfile
 from repro.errors import ConfigurationError, ConvergenceError
+
+from ..properties.strategies import instances
 
 SCHEDULES = ("round-robin", "best-gain-winner", "random-winner")
 SEEDS = (0, 1, 2, 3, 4)
@@ -32,6 +39,7 @@ def _assert_identical(ref, bat):
     assert np.array_equal(ref.profile.channel, bat.profile.channel)
     assert (ref.rounds, ref.moves) == (bat.rounds, bat.moves)
     assert (ref.converged, ref.is_nash) == (bat.converged, bat.is_nash)
+    assert ref.effective_epsilon == bat.effective_epsilon
 
 
 class TestKernelParity:
@@ -74,10 +82,125 @@ class TestKernelParity:
         ref, bat = _run_pair(small_instance, cfg, 0)
         _assert_identical(ref, bat)
 
+    @pytest.mark.parametrize("schedule", ("best-gain-winner", "random-winner"))
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    def test_winner_parity_under_move_cap(self, schedule, seed):
+        """A one-move cap forces the quiescent re-check of capped users.
+
+        These instances cycle: the re-check finds a capped user that still
+        improves, ε escalates, every budget is refreshed and users that
+        already moved become eligible again — in both kernels alike.
+        """
+        instance = IDDEInstance.generate(n=8, m=30, k=4, density=1.5, seed=seed)
+        cfg = GameConfig(schedule=schedule, max_moves_per_user=1)
+        ref, bat = _run_pair(instance, cfg, seed)
+        _assert_identical(ref, bat)
+        assert ref.effective_epsilon > cfg.epsilon
+        assert ref.moves > instance.n_users  # someone moved twice
+        assert ref.capped_users == bat.capped_users
+
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_parity_from_warm_start_under_active_mask(self, small_instance, schedule):
+        """The replay/serve path: a warm start over a changed player set.
+
+        The previous equilibrium loses its departed users, and new
+        arrivals join unallocated, so the run starts mid-game.
+        """
+        from dataclasses import replace
+
+        cfg = GameConfig(schedule=schedule)
+        prev = IddeUGame(small_instance, cfg).run(rng=5).profile
+        rng = np.random.default_rng(11)
+        active = rng.random(small_instance.n_users) < 0.7
+        initial = AllocationProfile(prev.server, prev.channel)
+        initial.server[~active] = initial.channel[~active] = -1
+        initial.server[:3] = initial.channel[:3] = -1  # fresh arrivals
+        active[:3] = True
+        # Stayers knocked onto channel 0, so the start is no equilibrium.
+        initial.channel[np.flatnonzero(initial.allocated)[:5]] = 0
+        results = [
+            IddeUGame(small_instance, replace(cfg, kernel=k)).run(
+                rng=5, initial=initial, active=active
+            )
+            for k in ("reference", "batched")
+        ]
+        _assert_identical(*results)
+        assert results[0].moves > 0
+        assert results[0].is_nash
+        assert not results[0].profile.allocated[~active].any()
+
     def test_move_log_matches_move_count(self, tiny_instance):
         for kernel in ("reference", "batched"):
             result = IddeUGame(tiny_instance, GameConfig(kernel=kernel)).run(rng=0)
             assert len(result.move_log) == result.moves
+
+
+class TestBestResponseTable:
+    """The batched kernel's incremental best-response table."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        instances(max_servers=6, max_users=14),
+        st.sampled_from(SCHEDULES),
+        st.integers(0, 2**16),
+        st.booleans(),
+    )
+    def test_rows_equal_full_pass_after_every_move(self, instance, schedule, seed, warm):
+        """After each applied move, every row the table keeps without
+        re-evaluating equals a fresh full ``batch_best_responses`` pass, and
+        re-evaluating the stale rows (lone or batched) lands on it too."""
+        rng = np.random.default_rng(seed)
+        m = instance.n_users
+        active = rng.random(m) < 0.8
+        initial = AllocationProfile.empty(m) if warm else None
+        if warm:
+            for j in np.flatnonzero(active & (rng.random(m) < 0.5)):
+                servers = instance.scenario.covering_servers[j]
+                if len(servers):
+                    i = int(rng.choice(servers))
+                    initial.server[j] = i
+                    initial.channel[j] = int(rng.integers(instance.scenario.channels[i]))
+        apply = IddeUGame._apply
+        checked_moves = []
+
+        def checked(game, engine, br, trace, log, table=None):
+            apply(game, engine, br, trace, log, table)
+            players = game._players()
+            fresh = engine.batch_best_responses(players)
+            held = ~table.stale[players]
+            for name in ("server", "channel", "benefit", "current_benefit"):
+                kept = getattr(table, name)[players][held]
+                assert np.array_equal(kept, getattr(fresh, name)[held]), name
+            for j in players[table.stale[players]][::2]:
+                table.row(int(j))
+            rows = table.rows(players)
+            for name in ("server", "channel", "benefit", "current_benefit"):
+                assert np.array_equal(getattr(rows, name), getattr(fresh, name)), name
+            checked_moves.append(br.user)
+
+        cfg = GameConfig(schedule=schedule, kernel="batched")
+        with mock.patch.object(IddeUGame, "_apply", checked):
+            bat = IddeUGame(instance, cfg).run(rng=seed, initial=initial, active=active)
+        assert len(checked_moves) == bat.moves
+        ref = IddeUGame(instance, GameConfig(schedule=schedule)).run(
+            rng=seed, initial=initial, active=active
+        )
+        _assert_identical(ref, bat)
+
+    def test_run_span_reports_rows_evaluated(self, small_instance):
+        """``game.run`` carries ``br_rows``; the table evaluates far fewer
+        rows than the per-user sweep of every round."""
+        from repro.obs.tracer import RecordingTracer
+
+        rows = {}
+        for kernel in ("reference", "batched"):
+            tracer = RecordingTracer()
+            cfg = GameConfig(schedule="best-gain-winner", kernel=kernel)
+            result = IddeUGame(small_instance, cfg, tracer=tracer).run(rng=0)
+            (span,) = [s for s in tracer.spans if s.name == "game.run"]
+            rows[kernel] = span.attrs["br_rows"]
+        assert rows["reference"] >= result.rounds * small_instance.n_users // 2
+        assert 0 < rows["batched"] < rows["reference"] / 3
 
 
 class TestBatchedKernel:
