@@ -26,10 +26,10 @@ latency gain), and the joint :class:`~repro.core.objectives.Evaluation` —
 without re-running any phase: the solver stashes the full result objects in
 ``extras`` and this module lifts them out.  Version 2 of the solution
 document additionally embeds the request that produced it and the typed
-``extras`` accessors (:attr:`Solution.sharding_stats`,
-:attr:`Solution.delivery_kernel`, :attr:`Solution.warm_detached`) replace
-dict-key spelunking; :func:`load_solution_document` reads both versions
-(see docs/SERVING.md for the migration note).
+``extras`` accessors (:attr:`Solution.delivery_kernel`,
+:attr:`Solution.warm_detached`) replace dict-key spelunking;
+:func:`load_solution_document` reads both versions (see docs/SERVING.md
+for the migration note).
 
 Solver names resolve through the :mod:`repro.baselines` registry, so
 unknown names fail with a did-you-mean
@@ -57,7 +57,6 @@ from .errors import ConfigurationError
 from .obs.tracer import Tracer, ensure_tracer
 from .request import SolveRequest, json_scalarish
 from .rng import ensure_rng
-from .sharding import ShardConfig, ShardedIddeG
 
 __all__ = [
     "SOLUTION_SCHEMA",
@@ -110,16 +109,6 @@ class Solution:
     # ------------------------------------------------------------------
     # typed extras accessors (the idde-solution/2 surface)
     # ------------------------------------------------------------------
-    @property
-    def sharding_stats(self) -> dict[str, Any] | None:
-        """Decomposition statistics from a sharded solve, or ``None``.
-
-        The dict the :class:`~repro.sharding.ShardedIddeG` solver stashes
-        (shard count/sizes, boundary users, reconciliation rounds).
-        """
-        stats = self.extras.get("sharding")
-        return dict(stats) if isinstance(stats, dict) else None
-
     @property
     def delivery_kernel(self) -> str | None:
         """Which Phase 2 placement kernel produced the delivery profile."""
@@ -282,35 +271,19 @@ def execute(
                     detached=warm_detached,
                     carried=int(initial.allocated.sum()),
                 )
-        if request.sharding is not None:
-            s = ShardedIddeG(
-                request.game_config,
-                request.delivery_config,
-                sharding=request.sharding,
-                tracer=tracer,
-                initial=initial,
-                active=active,
-                **opts,
-            )
-        else:
-            s = IddeG(
-                request.game_config,
-                request.delivery_config,
-                tracer=tracer,
-                initial=initial,
-                active=active,
-                **opts,
-            )
+        s = IddeG(
+            request.game_config,
+            request.delivery_config,
+            tracer=tracer,
+            initial=initial,
+            active=active,
+            **opts,
+        )
     else:
         if request.game_config is not None or request.delivery_config is not None:
             raise ConfigurationError(
                 f"game_config/delivery_config apply only to 'idde-g'; "
                 f"solver {name!r} has no game or greedy-delivery phase"
-            )
-        if request.sharding is not None:
-            raise ConfigurationError(
-                f"sharding applies only to 'idde-g'; solver {name!r} "
-                f"has no game phase to decompose"
             )
         if warm_start is not None or active is not None:
             raise ConfigurationError(
@@ -332,10 +305,6 @@ def execute(
             ratio_rule=dc.ratio_rule,
             delivery_kernel=dc.kernel,
         )
-        if request.sharding is not None:
-            config["shards"] = (
-                request.sharding.n_shards if request.sharding.n_shards else "auto"
-            )
         config["warm_start"] = warm_start is not None
         if active is not None:
             config["active_users"] = int(np.asarray(active, dtype=bool).sum())
@@ -373,7 +342,6 @@ def solve(
     *,
     game_config: GameConfig | None = None,
     delivery_config: DeliveryConfig | None = None,
-    sharding: ShardConfig | None = None,
     warm_start: "Solution | AllocationProfile | None" = None,
     active: np.ndarray | None = None,
     tracer: Tracer | None = None,
@@ -412,13 +380,6 @@ def solve(
         solver raises :class:`~repro.errors.ConfigurationError` — baselines
         have no such phases, and silently ignoring the configs would
         mislabel the run.
-    sharding:
-        Optional :class:`~repro.sharding.ShardConfig`: phase 1 then runs
-        through the interference-domain decomposition solver
-        (:class:`~repro.sharding.ShardedIddeG`) — shards solved
-        concurrently, boundary users reconciled globally, certificate on
-        the whole instance.  Only meaningful for ``"idde-g"``; any other
-        solver raises :class:`~repro.errors.ConfigurationError`.
     warm_start:
         A prior :class:`Solution` (or bare
         :class:`~repro.core.profiles.AllocationProfile`) to re-enter the
@@ -429,9 +390,8 @@ def solve(
         no longer covers them, whose channel no longer exists, or who fell
         out of ``active`` are detached; the game then plays on from there
         and re-certifies ε-Nash on the full instance (the certificate is
-        as strong as a cold solve's).  Composes with ``sharding``
-        (shard-local warm starts, boundary carry-over) and any
-        kernel/schedule.  Only meaningful for ``"idde-g"``.
+        as strong as a cold solve's).  Composes with any kernel/schedule.
+        Only meaningful for ``"idde-g"``.
     active:
         Optional boolean ``(M,)`` participant mask (churn): inactive users
         never allocate and never move in the game.  Only meaningful for
@@ -456,7 +416,6 @@ def solve(
             for name, value, default in (
                 ("game_config", game_config, None),
                 ("delivery_config", delivery_config, None),
-                ("sharding", sharding, None),
                 ("warm_start", warm_start, None),
                 ("active", active, None),
                 ("rng", rng, None),
@@ -477,7 +436,6 @@ def solve(
         solver=solver,
         game_config=game_config,
         delivery_config=delivery_config,
-        sharding=sharding,
         warm_start=warm_start,
         active=active,
         rng=rng,

@@ -24,11 +24,7 @@ Pieces:
 * :mod:`~repro.bench.delivery_parity` — the same discipline for Phase 2:
   the batched incremental delivery kernel replays the reference greedy
   placement-for-placement, reject-count included
-  (``idde bench --verify-delivery-parity``);
-* :mod:`~repro.bench.shard_parity` — the sharded-vs-global harness
-  proving the decomposition solver certifies on the whole instance and
-  stitches bit-identically where the theory demands it
-  (``idde bench --verify-shard-parity``).
+  (``idde bench --verify-delivery-parity``).
 
 See ``docs/BENCHMARKING.md`` for the workflow and the CI gate.
 """
@@ -66,12 +62,6 @@ from .parity import (
     verify_kernel_pair,
 )
 from .registry import Benchmark, all_benchmarks, benchmark, get_benchmark, select_benchmarks
-from .shard_parity import (
-    ShardPairCase,
-    ShardParityReport,
-    render_shard_parity_text,
-    verify_sharded_pair,
-)
 from .runner import BenchRunConfig, run_benchmarks, run_one
 from .timer import BenchStats, summarize, time_callable
 
@@ -91,8 +81,6 @@ __all__ = [
     "PARITY_SEEDS",
     "ParityReport",
     "ScaleSpec",
-    "ShardPairCase",
-    "ShardParityReport",
     "all_benchmarks",
     "benchmark",
     "build_document",
@@ -105,7 +93,6 @@ __all__ = [
     "render_compare_text",
     "render_delivery_parity_text",
     "render_parity_text",
-    "render_shard_parity_text",
     "render_text",
     "run_benchmarks",
     "run_one",
@@ -117,5 +104,4 @@ __all__ = [
     "validate_document",
     "verify_delivery_pair",
     "verify_kernel_pair",
-    "verify_sharded_pair",
 ]

@@ -23,10 +23,12 @@ Scales
     PRs whose wins only show at scale.
 ``XL``
     A metropolitan instance: six CBD-sized districts tiled with a gap
-    wider than any coverage diameter (:func:`repro.datasets.synthetic_metro`),
-    so the interference graph decomposes naturally — the regime the
-    ``shard.*`` benchmarks measure.  Too slow for the full registry in CI;
-    the bench-trajectory job runs it filtered to ``shard``.
+    wider than any coverage diameter (:func:`repro.datasets.synthetic_metro`).
+    It is the cold-solve scaling fixture: the whole-instance game runs
+    over twelve times the paper's user count, so its cost grows with M
+    while the per-district contention stays at CBD density.  Too slow for
+    the full registry in CI; the bench-trajectory job runs it filtered to
+    ``game.converge``.
 """
 
 from __future__ import annotations

@@ -17,15 +17,6 @@ The hot paths, mapped to the paper:
   by :mod:`repro.bench.parity`), so a run shows the speed-up directly;
 * ``game.converge`` / ``game.converge.batched`` — a full IDDE-U run to
   Nash equilibrium under each kernel;
-* ``shard.*`` — the interference-domain decomposition layer: plan
-  construction (``shard.build``), a full sharded solve including
-  reconciliation (``shard.solve``), and its unsharded twin
-  (``shard.solve.global``) on the identical instance and config — their
-  ratio IS the decomposition speed-up (serial by construction: the timed
-  region runs under ``force_serial``).  Both solve benches use the
-  literal Algorithm 1 ``best-gain-winner`` schedule on the batched
-  kernel, where decomposition shortens the per-move winner choice;
-  run them at ``XL`` for the trajectory point;
 * ``delivery.greedy`` / ``delivery.greedy.batched`` — Phase 2
   marginal-latency-per-byte placement (Eq. 17, Theorems 6–7) as a kernel
   pair: the reference per-item sweep and the incremental gain-table
@@ -259,64 +250,6 @@ benchmark(
     "game.converge.batched",
     "the same full run to Nash equilibrium on the batched kernel (pair)",
 )(_converge_factory("batched"))
-
-
-#: The shard solve pair plays the literal Algorithm 1 schedule: one winner
-#: per round means the global run chooses over every player per move (its
-#: best-response table re-evaluates only the rows a move touches), the
-#: cost decomposition shrinks to per-shard size.
-_SHARD_GAME_CFG = GameConfig(schedule="best-gain-winner", kernel="batched")
-
-
-@benchmark(
-    "shard.build",
-    "interference-domain plan construction (components + split + pack)",
-)
-def _bench_shard_build(scale: str, seed: int) -> Callable[[], object]:
-    from ..sharding import ShardConfig, build_plan
-
-    instance = instance_for(scale, seed)
-    cfg = ShardConfig()
-
-    def run() -> object:
-        return len(build_plan(instance, cfg).shards)
-
-    return run
-
-
-@benchmark(
-    "shard.solve",
-    "sharded IDDE-U solve + reconciliation, best-gain-winner/batched (pair)",
-)
-def _bench_shard_solve(scale: str, seed: int) -> Callable[[], object]:
-    from ..sharding import ShardConfig, solve_sharded_game
-
-    instance = instance_for(scale, seed)
-    shard_cfg = ShardConfig(n_workers=0)
-
-    def run() -> object:
-        result, _ = solve_sharded_game(
-            instance, _SHARD_GAME_CFG, shard_cfg, rng=seed
-        )
-        assert result.is_nash
-        return result.moves
-
-    return run
-
-
-@benchmark(
-    "shard.solve.global",
-    "the same solve unsharded on the whole instance (pair twin)",
-)
-def _bench_shard_solve_global(scale: str, seed: int) -> Callable[[], object]:
-    instance = instance_for(scale, seed)
-
-    def run() -> object:
-        result = IddeUGame(instance, _SHARD_GAME_CFG).run(rng=seed)
-        assert result.is_nash
-        return result.moves
-
-    return run
 
 
 @benchmark(

@@ -37,10 +37,9 @@ Subcommands
 
 ``solve``, ``sweep`` and ``reproduce`` accept ``--trace out.jsonl`` to
 record a full execution trace; ``solve``/``sweep`` accept ``--kernel
-batched`` to run the IDDE-G game on the batched evaluation kernel,
+batched`` to run the IDDE-G game on the batched evaluation kernel and
 ``--delivery-kernel batched`` to run Phase 2 on the incremental
-greedy-delivery kernel, and ``--shards auto|N`` to route IDDE-G through
-the interference-domain decomposition solver (see docs/SHARDING.md).
+greedy-delivery kernel.
 All solving routes through :func:`repro.api.solve`.
 """
 
@@ -88,7 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--map", action="store_true", help="draw the scenario and IDDE-G allocation"
     )
     _add_kernel_arg(p_solve)
-    _add_shards_arg(p_solve)
     _add_trace_arg(p_solve)
     p_solve.add_argument(
         "--format", choices=["text", "json"], default="text",
@@ -99,7 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("set", choices=["1", "2", "3", "4"], help="Table 2 set number")
     _add_sweep_args(p_sweep)
     _add_kernel_arg(p_sweep)
-    _add_shards_arg(p_sweep)
     _add_trace_arg(p_sweep)
 
     p_rep = sub.add_parser("reproduce", help="run every set; emit the markdown report")
@@ -163,7 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
         "end-states as ε-Nash on the final instance (exit 1 on failure)",
     )
     _add_kernel_arg(p_replay)
-    _add_shards_arg(p_replay)
     _add_trace_arg(p_replay)
 
     p_gap = sub.add_parser("gap", help="greedy vs exact MILP delivery gap")
@@ -268,10 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="verify reference/batched kernel-pair parity; exit 1 on mismatch",
     )
     p_bench.add_argument(
-        "--verify-shard-parity", action="store_true",
-        help="verify sharded-vs-global solver parity; exit 1 on mismatch",
-    )
-    p_bench.add_argument(
         "--verify-delivery-parity", action="store_true",
         help="verify reference/batched delivery kernel-pair parity; exit 1 on mismatch",
     )
@@ -298,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="max mutating requests admitted at once (429 past it)",
     )
     _add_kernel_arg(p_serve)
-    _add_shards_arg(p_serve)
 
     p_trace = sub.add_parser(
         "trace", help="inspect IDDE-Trace (idde-trace/1) JSONL documents"
@@ -329,32 +320,6 @@ def _add_kernel_arg(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _shards_value(text: str) -> int | str:
-    """Parse ``--shards``: the literal ``auto`` or a positive shard count."""
-    if text == "auto":
-        return "auto"
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected 'auto' or a positive integer, got {text!r}"
-        ) from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"shard count must be >= 1, got {n}")
-    return n
-
-
-def _add_shards_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--shards",
-        type=_shards_value,
-        default=None,
-        metavar="auto|N",
-        help="solve IDDE-G by interference-domain decomposition: 'auto' "
-        "(natural coverage domains) or a target shard count",
-    )
-
-
 def _add_trace_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--trace",
@@ -377,15 +342,6 @@ def _add_sweep_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ip-budget", type=float, default=3.0, help="IDDE-IP seconds per trial")
     p.add_argument("--workers", type=int, default=None, help="worker processes")
-
-
-def _shard_config(shards: int | str | None):
-    """Map a parsed ``--shards`` value to a :class:`ShardConfig` (or None)."""
-    if shards is None:
-        return None
-    from .sharding import ShardConfig
-
-    return ShardConfig() if shards == "auto" else ShardConfig(n_shards=int(shards))
 
 
 def _make_tracer(args: argparse.Namespace):
@@ -422,7 +378,6 @@ def _request_for(args: argparse.Namespace, name: str):
         delivery_config=(
             DeliveryConfig(kernel=args.delivery_kernel) if is_g else None
         ),
-        sharding=_shard_config(args.shards) if is_g else None,
         ip_time_budget_s=getattr(args, "ip_budget", None),
         rng=args.seed,
     )
@@ -451,7 +406,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     ]
     _save_trace(
         tracer, args, command="solve", solver=args.solver, kernel=args.kernel,
-        delivery_kernel=args.delivery_kernel, seed=args.seed, shards=args.shards,
+        delivery_kernel=args.delivery_kernel, seed=args.seed,
     )
 
     if args.format == "json":
@@ -502,12 +457,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         parallel=ParallelConfig(n_workers=args.workers),
         kernel=args.kernel,
         delivery_kernel=args.delivery_kernel,
-        shards=args.shards,
         tracer=tracer,
     )
     _save_trace(
         tracer, args, command="sweep", set=args.set, kernel=args.kernel,
-        delivery_kernel=args.delivery_kernel, seed=args.seed, shards=args.shards,
+        delivery_kernel=args.delivery_kernel, seed=args.seed,
     )
     for metric in ("r_avg", "l_avg_ms", "time_s"):
         print(render_sweep_markdown(result, metric))
@@ -594,7 +548,6 @@ def _replay_impl(args: argparse.Namespace) -> int:
     )
     game_cfg = GameConfig(kernel=args.kernel)
     delivery_cfg = DeliveryConfig(kernel=args.delivery_kernel)
-    shard_cfg = _shard_config(args.shards)
     tracer = _make_tracer(args)
 
     def _events():
@@ -624,7 +577,6 @@ def _replay_impl(args: argparse.Namespace) -> int:
             policy=policy,
             game=game_cfg,
             delivery=delivery_cfg,
-            sharding=shard_cfg,
             tracer=tracer,
         )
         return sim.run_events(
@@ -900,13 +852,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             print(render_parity_text(report))
             return 0 if report.ok else 1
 
-        if args.verify_shard_parity:
-            from .bench import render_shard_parity_text, verify_sharded_pair
-
-            shard_report = verify_sharded_pair(scale=args.scale)
-            print(render_shard_parity_text(shard_report))
-            return 0 if shard_report.ok else 1
-
         if args.verify_delivery_parity:
             from .bench import render_delivery_parity_text, verify_delivery_pair
 
@@ -991,7 +936,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         solver=base.solver,
         game_config=base.game_config,
         delivery_config=base.delivery_config,
-        sharding=base.sharding,
         warm_start=True,
         rng=args.seed,
     )

@@ -115,9 +115,10 @@ def synthetic_metro(
     ``seed * 1000 + d``) offset by the CBD width plus ``gap`` metres.  With
     the default ``gap`` well above twice the maximum coverage radius, no
     coverage circle spans two districts, so the interference graph of any
-    sampled scenario decomposes into per-district components — the
-    city-scale regime :mod:`repro.sharding` targets.  Deterministic in
-    ``seed``.
+    sampled scenario decomposes into per-district components.  It is the
+    city-scale input for cold-solve scaling measurements: the user count
+    grows with ``districts`` while each district keeps CBD density.
+    Deterministic in ``seed``.
     """
     if districts < 1:
         raise DatasetError(f"districts must be >= 1, got {districts}")

@@ -4,7 +4,7 @@ Each epoch consumes one :class:`~repro.workload.EpochBatch` of events
 (user joins/leaves, moves, popularity shifts — see
 :mod:`repro.workload`), folds it into the scenario state, and re-solves
 through the :func:`repro.api.solve` façade — so every epoch composes with
-tracing (spans ``timeline.epoch`` / ``workload.batch``), sharding, the
+tracing (spans ``timeline.epoch`` / ``workload.batch``) and the
 batched kernels, and yields a full schema-versioned
 :class:`~repro.api.Solution` on its :class:`EpochRecord`.
 
@@ -52,7 +52,6 @@ from .mobility import MobilityModel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from ..api import Solution
-    from ..sharding import ShardConfig
 
 __all__ = ["DynamicSimulation", "EpochRecord"]
 
@@ -113,7 +112,6 @@ class DynamicSimulation:
         churn: PoissonChurn | None = None,
         game: GameConfig | None = None,
         delivery: DeliveryConfig | None = None,
-        sharding: "ShardConfig | None" = None,
         tracer: Tracer | None = None,
     ) -> None:
         if policy not in _POLICIES:
@@ -132,7 +130,6 @@ class DynamicSimulation:
         self.churn = churn
         self.game_cfg = game or GameConfig()
         self.delivery_cfg = delivery or DeliveryConfig()
-        self.sharding = sharding
         self.tracer = ensure_tracer(tracer)
 
     # ------------------------------------------------------------------
@@ -199,7 +196,6 @@ class DynamicSimulation:
             solver="idde-g",
             game_config=self.game_cfg,
             delivery_config=self.delivery_cfg,
-            sharding=self.sharding,
         )
         records: list[EpochRecord] = []
         base = self.instance.scenario

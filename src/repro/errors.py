@@ -21,11 +21,11 @@ __all__ = [
     "ExperimentError",
     "DatasetError",
     "BenchError",
-    "ShardingError",
     "TraceError",
     "SolverLookupError",
     "ServeError",
     "ProtocolError",
+    "ReadTimeoutError",
     "QueueFullError",
     "RequestTimeoutError",
 ]
@@ -85,11 +85,6 @@ class BenchError(ReproError, ValueError):
     a benchmark document failed schema validation."""
 
 
-class ShardingError(ReproError, ValueError):
-    """The interference-domain decomposition layer was driven with an
-    inconsistent plan (mismatched shard/user maps, an unsolvable split)."""
-
-
 class TraceError(ReproError, ValueError):
     """An IDDE-Trace tracer was misused (mis-nested spans, backwards
     clock) or a trace document failed schema validation."""
@@ -113,6 +108,11 @@ class ServeError(ReproError, RuntimeError):
 class ProtocolError(ServeError):
     """A request violated the HTTP/JSON wire protocol (unparseable request
     line, oversized or non-JSON body, bad method) — mapped to 400."""
+
+
+class ReadTimeoutError(ProtocolError):
+    """A client did not deliver a complete request head and body within
+    the daemon's read deadline — mapped to 408."""
 
 
 class QueueFullError(ServeError):

@@ -21,7 +21,6 @@ from ..errors import ExperimentError
 from ..obs.tracer import Tracer, ensure_tracer
 from ..request import SolveRequest
 from ..rng import spawn_rng
-from ..sharding import ShardConfig, ShardedIddeG
 
 __all__ = ["SOLVER_NAMES", "TrialSpec", "TrialResult", "run_trial", "build_solver"]
 
@@ -50,9 +49,6 @@ class TrialSpec:
     #: Phase 2 delivery kernel for the IDDE-G runs ("reference"/"batched");
     #: the pair is placement-for-placement identical, only the speed differs.
     delivery_kernel: str = "reference"
-    #: Interference-domain decomposition for the IDDE-G runs: ``None`` (off),
-    #: ``"auto"`` (natural coverage domains), or a target shard count.
-    shards: int | str | None = None
 
     def __post_init__(self) -> None:
         if self.n <= 0 or self.m < 0 or self.k <= 0:
@@ -71,27 +67,6 @@ class TrialSpec:
                 f"unknown delivery_kernel {self.delivery_kernel!r}; "
                 f"choose from {DeliveryConfig._KERNELS}"
             )
-        if not (
-            self.shards is None
-            or self.shards == "auto"
-            or (isinstance(self.shards, int) and self.shards >= 1)
-        ):
-            raise ExperimentError(
-                f"shards must be None, 'auto' or a positive int, got {self.shards!r}"
-            )
-
-    def shard_config(self) -> ShardConfig | None:
-        """The :class:`ShardConfig` this spec asks for (``None`` = unsharded).
-
-        Trials inside a sweep may already run in worker processes, so the
-        shard fan-out itself is pinned serial (``n_workers=0``) — nested
-        process pools would oversubscribe the host.
-        """
-        if self.shards is None:
-            return None
-        if self.shards == "auto":
-            return ShardConfig(n_workers=0)
-        return ShardConfig(n_shards=int(self.shards), n_workers=0)
 
     def request_for(self, name: str) -> SolveRequest:
         """The :class:`~repro.request.SolveRequest` for one of this trial's
@@ -104,7 +79,6 @@ class TrialSpec:
             delivery_config=(
                 DeliveryConfig(kernel=self.delivery_kernel) if is_g else None
             ),
-            sharding=self.shard_config() if is_g else None,
             ip_time_budget_s=self.ip_time_budget_s,
         )
 
@@ -135,13 +109,10 @@ def build_solver(name: str, spec: TrialSpec) -> Solver:
     if name == "IDDE-IP":
         return IddeIP(time_budget_s=spec.ip_time_budget_s)
     if name == "IDDE-G":
-        shard_cfg = spec.shard_config()
-        delivery_cfg = DeliveryConfig(kernel=spec.delivery_kernel)
-        if shard_cfg is not None:
-            return ShardedIddeG(
-                GameConfig(kernel=spec.kernel), delivery_cfg, sharding=shard_cfg
-            )
-        return IddeG(GameConfig(kernel=spec.kernel), delivery_cfg)
+        return IddeG(
+            GameConfig(kernel=spec.kernel),
+            DeliveryConfig(kernel=spec.delivery_kernel),
+        )
     if name == "SAA":
         return SAA()
     if name == "CDP":

@@ -120,7 +120,6 @@ def run_sweep(
     keep_raw: bool = False,
     kernel: str = "reference",
     delivery_kernel: str = "reference",
-    shards: int | str | None = None,
     tracer: Tracer | None = None,
 ) -> SweepResult:
     """Run one Table 2 sweep and aggregate it.
@@ -129,10 +128,8 @@ def run_sweep(
     seed is spawned from ``(seed, set name, value, rep)`` so adding points
     or repetitions never perturbs existing trials.  ``kernel`` selects the
     IDDE-G evaluation kernel per trial (results are identical either way —
-    the pair is move-for-move verified — only the speed differs),
-    ``delivery_kernel`` does the same for the Phase 2 placement loop, and
-    ``shards`` routes the IDDE-G trials through the interference-domain
-    decomposition solver (``"auto"`` or a target count; ``None`` = off).
+    the pair is move-for-move verified — only the speed differs), and
+    ``delivery_kernel`` does the same for the Phase 2 placement loop.
 
     When a recording ``tracer`` is attached, trials run serially in this
     process — a tracer cannot aggregate across worker processes — so
@@ -159,7 +156,6 @@ def run_sweep(
                     solver_names=solver_names,
                     kernel=kernel,
                     delivery_kernel=delivery_kernel,
-                    shards=shards,
                 )
             )
             layout.append((value, rep))

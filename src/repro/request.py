@@ -1,8 +1,8 @@
 """The schema-versioned :class:`SolveRequest`: one object describing a run.
 
 :func:`repro.api.solve` grew eleven keyword arguments across five PRs —
-solver name, two phase configs, sharding, warm start, churn mask, tracer,
-RNG, an IP time budget, a validation switch and a solver-options escape
+solver name, two phase configs, warm start, churn mask, tracer, RNG,
+an IP time budget, a validation switch and a solver-options escape
 hatch.  Every front-end (CLI, experiment harness, streaming replay, and
 now the IDDE-Serve daemon) re-spelled that sprawl its own way.
 
@@ -38,7 +38,6 @@ import numpy as np
 
 from .config import DeliveryConfig, GameConfig
 from .errors import ConfigurationError
-from .sharding import ShardConfig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from .api import Solution
@@ -54,7 +53,6 @@ _WIRE_KEYS = (
     "solver",
     "game",
     "delivery",
-    "sharding",
     "warm_start",
     "active",
     "rng",
@@ -120,7 +118,6 @@ class SolveRequest:
     solver: str = "idde-g"
     game_config: GameConfig | None = None
     delivery_config: DeliveryConfig | None = None
-    sharding: ShardConfig | None = None
     warm_start: "Solution | AllocationProfile | bool | None" = None
     active: np.ndarray | None = None
     rng: Any = None
@@ -206,7 +203,6 @@ class SolveRequest:
             "solver": self.solver,
             "game": _config_to_doc(self.game_config),
             "delivery": _config_to_doc(self.delivery_config),
-            "sharding": _config_to_doc(self.sharding),
             "warm_start": warm,
             "active": (
                 None if self.active is None else [int(b) for b in self.active]
@@ -234,10 +230,17 @@ class SolveRequest:
             raise ConfigurationError(
                 f"expected request schema {REQUEST_SCHEMA!r}, got {schema!r}"
             )
-        unknown = sorted(set(doc) - set(_WIRE_KEYS))
+        # Documents written before the sharded solver was removed carry
+        # "sharding", almost always as null: accept null, reject the rest.
+        unknown = sorted(set(doc) - set(_WIRE_KEYS) - {"sharding"})
         if unknown:
             raise ConfigurationError(
                 f"unknown request key(s) {unknown}; known keys: {sorted(_WIRE_KEYS)}"
+            )
+        if doc.get("sharding") is not None:
+            raise ConfigurationError(
+                "request key 'sharding' must be null: the sharded IDDE-G "
+                "solver was removed; every solve plays the whole instance"
             )
         warm = doc.get("warm_start", False)
         if not isinstance(warm, bool):
@@ -270,7 +273,6 @@ class SolveRequest:
             delivery_config=_config_from_doc(
                 DeliveryConfig, doc.get("delivery"), "delivery"
             ),
-            sharding=_config_from_doc(ShardConfig, doc.get("sharding"), "sharding"),
             warm_start=warm or None,
             # __post_init__ coerces and validates the mask (a ragged or
             # nested list is a ConfigurationError, not a numpy traceback).
@@ -306,8 +308,6 @@ class SolveRequest:
         bits = [f"solver={self.solver!r}"]
         if self.game_config is not None:
             bits.append(f"kernel={self.game_config.kernel!r}")
-        if self.sharding is not None:
-            bits.append("sharded")
         if self.warm_start is not None:
             bits.append("warm")
         return f"SolveRequest({', '.join(bits)})"

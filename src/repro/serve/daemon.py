@@ -21,9 +21,14 @@ concurrency model is deliberately simple and fully deterministic:
   (:class:`~repro.errors.RequestTimeoutError`).  The solver thread itself
   cannot be interrupted mid-kernel; it finishes in the background and the
   session state stays consistent — only the *response* is abandoned.
+* **Bounded reads.**  A request must arrive whole within
+  :data:`~repro.serve.http.READ_TIMEOUT_S`; a client that connects and
+  stalls is answered with a structured 408
+  (:class:`~repro.errors.ReadTimeoutError`) and closed.
 * **Graceful drain.**  ``SIGTERM``/``SIGINT`` stop the listener, let every
   admitted request finish, then exit 0.  New connections during the drain
-  are refused at accept; requests already queued still get answers.
+  are refused at accept; requests already queued still get answers.  An
+  idle connection delays the drain by at most the read deadline.
 
 Endpoints (all JSON; see docs/SERVING.md for the wire reference):
 
@@ -56,6 +61,7 @@ from ..errors import (
     ConfigurationError,
     ProtocolError,
     QueueFullError,
+    ReadTimeoutError,
     ReproError,
     RequestTimeoutError,
 )
@@ -209,6 +215,8 @@ class ServeDaemon:
         try:
             request = await read_request(reader)
         except ProtocolError as exc:
+            if isinstance(exc, ReadTimeoutError):
+                self.tracer.count("serve.read_timeouts")
             await self._write(writer, error_response(exc).render())
             return
         if request is None:

@@ -17,6 +17,10 @@ Scope (and non-goals) are explicit:
   (400), never an OOM.
 * Responses always carry ``Content-Length`` and close the socket, so a
   client can never hang on a response boundary.
+* A request must arrive whole within :data:`READ_TIMEOUT_S`.  A client
+  that connects and stalls gets a
+  :class:`~repro.errors.ReadTimeoutError` (408), so neither an idle
+  socket nor a slow sender can hold a connection open indefinitely.
 
 Error wire format (every non-2xx body)::
 
@@ -41,6 +45,7 @@ from ..errors import (
     DatasetError,
     ProtocolError,
     QueueFullError,
+    ReadTimeoutError,
     ReproError,
     RequestTimeoutError,
     ScenarioError,
@@ -52,6 +57,7 @@ from ..errors import (
 __all__ = [
     "MAX_BODY_BYTES",
     "MAX_HEADER_BYTES",
+    "READ_TIMEOUT_S",
     "STATUS_BY_ERROR",
     "HttpRequest",
     "HttpResponse",
@@ -68,11 +74,16 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 #: Hard cap on the request line + headers block.
 MAX_HEADER_BYTES = 16 * 1024
 
+#: Deadline for reading one whole request (head and body), in seconds.
+#: It also bounds how long an idle connection can delay a drain.
+READ_TIMEOUT_S = 10.0
+
 _REASONS = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     409: "Conflict",
     429: "Too Many Requests",
     500: "Internal Server Error",
@@ -86,6 +97,7 @@ _REASONS = {
 STATUS_BY_ERROR: tuple[tuple[type[ReproError], int], ...] = (
     (QueueFullError, 429),
     (RequestTimeoutError, 504),
+    (ReadTimeoutError, 408),
     (ProtocolError, 400),
     (SolverLookupError, 400),
     (ConfigurationError, 400),
@@ -194,8 +206,19 @@ async def read_request(reader: asyncio.StreamReader) -> HttpRequest | None:
     request line (a clean no-op).  Every malformed or oversized input
     raises :class:`~repro.errors.ProtocolError`, which the daemon renders
     as a structured 400 — the parser never lets a bad peer take the
-    process down.
+    process down.  A request not complete within :data:`READ_TIMEOUT_S`
+    raises :class:`~repro.errors.ReadTimeoutError` (408).
     """
+    deadline = READ_TIMEOUT_S
+    try:
+        return await asyncio.wait_for(_read_request(reader), deadline)
+    except asyncio.TimeoutError:
+        raise ReadTimeoutError(
+            f"request not received within {deadline:g}s"
+        ) from None
+
+
+async def _read_request(reader: asyncio.StreamReader) -> HttpRequest | None:
     try:
         head = await reader.readuntil(b"\r\n\r\n")
     except asyncio.IncompleteReadError as exc:

@@ -1,14 +1,19 @@
 """The stateful heart of IDDE-Serve: one long-lived :class:`SolverSession`.
 
-A session owns everything a sequence of related solves can reuse — the
-base :class:`~repro.core.instance.IDDEInstance` (topology and SINR engine
-caches stay resident across requests), the mutable
-:class:`~repro.workload.WorkloadState` that ``idde-events/1`` deltas fold
-into, the latest certified :class:`~repro.api.Solution`, and one
-:class:`~repro.obs.tracer.RecordingTracer` whose snapshots back the
-daemon's ``/v1/metrics`` and ``/v1/trace`` endpoints.
+A session keeps, across requests: the base
+:class:`~repro.core.instance.IDDEInstance` (its scenario, topology and
+radio parameters), the mutable :class:`~repro.workload.WorkloadState`
+that ``idde-events/1`` deltas fold into, the base
+:class:`~repro.request.SolveRequest`, the latest certified
+:class:`~repro.api.Solution` (the next warm start), the epoch and
+request counters, and one :class:`~repro.obs.tracer.RecordingTracer`
+whose snapshots back the daemon's ``/v1/metrics`` and ``/v1/trace``
+endpoints.  It keeps no derived caches: every request projects a fresh
+instance from the workload state, so the SINR engines, coverage tables
+and all-pairs path costs are rebuilt per request and dropped after it.
 
-The lifecycle mirrors the streaming engine (PR 8), lifted behind an API:
+The lifecycle mirrors the streaming engine
+(:mod:`repro.dynamics.timeline`), lifted behind an API:
 
 * :meth:`solve` — run the session's base :class:`~repro.request.SolveRequest`
   on the *current* workload state.  A request whose ``warm_start`` is the

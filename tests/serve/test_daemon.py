@@ -192,6 +192,19 @@ class TestErrorPaths:
         assert status == 400
         assert "warmstart" in json.loads(body)["error"]["message"]
 
+    def test_non_null_sharding_is_structured_400(self, instance):
+        daemon = ServeDaemon(_session(instance))
+        doc = {**SolveRequest(solver="idde-g").to_dict(), "sharding": {}}
+
+        async def scenario(d):
+            return await _http(d.port, "POST", "/v1/solve", doc)
+
+        (status, body), _ = _drive(daemon, scenario)
+        assert status == 400
+        error = json.loads(body)["error"]
+        assert error["type"] == "ConfigurationError"
+        assert "removed" in error["message"]
+
     def test_unknown_endpoint_and_wrong_method(self, instance):
         daemon = ServeDaemon(_session(instance))
 
@@ -399,6 +412,41 @@ class TestAdmissionControl:
         status, body = asyncio.run(main())
         assert status == 429
         assert "draining" in json.loads(body)["error"]["message"]
+
+    def test_idle_connection_does_not_block_drain(self, instance, monkeypatch):
+        import repro.serve.http as http
+
+        deadline = 0.3
+        monkeypatch.setattr(http, "READ_TIMEOUT_S", deadline)
+        daemon = ServeDaemon(_session(instance))
+
+        async def main():
+            await daemon.start()
+            run_task = asyncio.create_task(
+                daemon.run(install_signal_handlers=False)
+            )
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", daemon.port
+            )
+            await asyncio.sleep(0.05)  # let the daemon accept; send nothing
+            start = time.monotonic()
+            daemon.request_shutdown()
+            exit_code = await asyncio.wait_for(run_task, timeout=deadline + 2.0)
+            elapsed = time.monotonic() - start
+            response = await reader.read()
+            writer.close()
+            await writer.wait_closed()
+            return exit_code, elapsed, response
+
+        exit_code, elapsed, response = asyncio.run(main())
+        assert exit_code == 0
+        assert elapsed < deadline + 1.0
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 408 Request Timeout")
+        error = json.loads(body)["error"]
+        assert error["type"] == "ReadTimeoutError"
+        assert error["status"] == 408
+        assert daemon.tracer.counters["serve.read_timeouts"] == 1
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError, match="request_timeout_s"):

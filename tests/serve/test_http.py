@@ -11,6 +11,7 @@ from repro.errors import (
     ConfigurationError,
     ProtocolError,
     QueueFullError,
+    ReadTimeoutError,
     ReproError,
     RequestTimeoutError,
     ScenarioError,
@@ -58,6 +59,20 @@ class TestReadRequest:
 
     def test_clean_eof_is_none(self):
         assert _parse(b"") is None
+
+    def test_stalled_peer_times_out(self, monkeypatch):
+        import repro.serve.http as http
+
+        monkeypatch.setattr(http, "READ_TIMEOUT_S", 0.05)
+
+        async def run():
+            reader = asyncio.StreamReader(limit=MAX_HEADER_BYTES)
+            reader.feed_data(b"GET /v1/health HTTP/1.1\r\n")  # head never ends
+            # the outer bound only keeps a regression from hanging the suite
+            return await asyncio.wait_for(read_request(reader), 5.0)
+
+        with pytest.raises(ReadTimeoutError, match="0.05s"):
+            asyncio.run(run())
 
     def test_lowercased_headers(self):
         req = _parse(b"GET / HTTP/1.1\r\nX-Thing:  padded \r\n\r\n")
@@ -116,6 +131,7 @@ class TestResponseFraming:
     def test_status_reasons(self):
         assert b"429 Too Many Requests" in HttpResponse(429, {}).render()
         assert b"504 Gateway Timeout" in HttpResponse(504, {}).render()
+        assert b"408 Request Timeout" in HttpResponse(408, {}).render()
 
     def test_extra_headers_rendered(self):
         raw = HttpResponse(405, {}, headers=(("Allow", "POST"),)).render()
@@ -136,6 +152,7 @@ class TestErrorMapping:
             (ScenarioError("bad scenario"), 400),
             (SolverError("diverged"), 500),
             (ReproError("anything"), 500),
+            (ReadTimeoutError("idle"), 408),
         ],
     )
     def test_status_table(self, exc, status):

@@ -155,20 +155,6 @@ class TestWarmStart:
         )
         assert warm.game.is_nash
 
-    def test_warm_composes_with_sharding(self, instance):
-        from repro.sharding import ShardConfig
-
-        cold = solve(instance, "idde-g", rng=0)
-        warm = solve(
-            instance,
-            "idde-g",
-            warm_start=cold,
-            sharding=ShardConfig(n_workers=0),
-            rng=1,
-        )
-        assert warm.game.is_nash
-        assert warm.config["warm_start"] is True
-
     def test_warm_start_traced(self, instance):
         cold = solve(instance, "idde-g", rng=0)
         tracer = RecordingTracer()
@@ -239,18 +225,9 @@ class TestSolutionSchemaVersions:
             load_solution_document([1])
 
     def test_typed_extras_accessors(self, instance):
-        from repro.sharding import ShardConfig
-
         cold = solve(instance, "idde-g", rng=0)
         assert cold.warm_detached is None
-        assert cold.sharding_stats is None
         assert cold.delivery_kernel == "reference"
 
         warm = solve(instance, "idde-g", warm_start=cold, rng=1)
         assert warm.warm_detached == 0
-
-        sharded = solve(
-            instance, "idde-g", sharding=ShardConfig(n_workers=0), rng=0
-        )
-        stats = sharded.sharding_stats
-        assert stats is not None and stats["n_shards"] >= 1

@@ -12,7 +12,6 @@ from repro.config import DeliveryConfig, GameConfig
 from repro.core.instance import IDDEInstance
 from repro.errors import ConfigurationError
 from repro.request import REQUEST_SCHEMA, SolveRequest
-from repro.sharding import ShardConfig
 
 #: A fully-populated idde-request/1 document, exactly as it travels the
 #: wire — golden bytes for cross-version compatibility.
@@ -21,7 +20,6 @@ GOLDEN_DOC = {
     "solver": "idde-g",
     "game": None,
     "delivery": None,
-    "sharding": None,
     "warm_start": True,
     "active": [1, 1, 0, 1],
     "rng": 42,
@@ -60,12 +58,22 @@ class TestWireRoundTrip:
             solver="idde-g",
             game_config=GameConfig(kernel="batched"),
             delivery_config=DeliveryConfig(kernel="batched"),
-            sharding=ShardConfig(n_shards=2, n_workers=0),
         )
         back = SolveRequest.from_dict(req.to_dict())
         assert back.game_config == req.game_config
         assert back.delivery_config == req.delivery_config
-        assert back.sharding == req.sharding
+
+    def test_legacy_null_sharding_still_solves(self, instance):
+        # Every document an earlier release wrote carries "sharding": null.
+        doc = {**SolveRequest(solver="idde-g", rng=3).to_dict(), "sharding": None}
+        req = SolveRequest.from_dict(doc)
+        assert "sharding" not in req.to_dict()
+        assert solve(instance, req).game.is_nash
+
+    def test_non_null_sharding_rejected(self):
+        doc = {**GOLDEN_DOC, "sharding": {"n_shards": 2}}
+        with pytest.raises(ConfigurationError, match="sharding.*removed"):
+            SolveRequest.from_dict(doc)
 
     def test_defaults_round_trip(self):
         back = SolveRequest.from_dict(SolveRequest().to_dict())
