@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.core.instance import IDDEInstance
 from repro.datasets.melbourne import CBD_REGION
-from repro.dynamics import DynamicSimulation, RandomWaypoint
+from repro.dynamics import DynamicSimulation, waypoint_batches
 
 from conftest import write_artifact
 
@@ -23,11 +23,11 @@ SPEEDS = (8.0, 20.0)
 
 def _run(policy: str) -> dict[str, float]:
     instance = IDDEInstance.generate(n=20, m=120, k=5, density=1.5, seed=7)
-    mobility = RandomWaypoint(
-        instance.scenario.user_xy, CBD_REGION, rng=7, speed_range=SPEEDS
+    batches = waypoint_batches(
+        instance.scenario, CBD_REGION, rng=7, speed_range=SPEEDS, epochs=EPOCHS, dt=DT
     )
-    sim = DynamicSimulation(instance, mobility, policy=policy)
-    return DynamicSimulation.summarize(sim.run(epochs=EPOCHS, dt=DT, rng=7))
+    sim = DynamicSimulation(instance, policy=policy)
+    return DynamicSimulation.summarize(sim.run_events(batches, rng=7))
 
 
 def test_dynamics_policy_comparison(benchmark):

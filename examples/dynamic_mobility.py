@@ -20,7 +20,7 @@ Run:  python examples/dynamic_mobility.py
 
 from repro import IDDEInstance
 from repro.datasets.melbourne import CBD_REGION
-from repro.dynamics import DynamicSimulation, RandomWaypoint
+from repro.dynamics import DynamicSimulation, waypoint_batches
 
 EPOCHS = 8
 DT = 45.0  # seconds per epoch
@@ -28,11 +28,10 @@ SPEEDS = (8.0, 20.0)  # an e-scooter-ish crowd, m/s
 
 
 def run_policy(instance: IDDEInstance, policy: str):
-    mobility = RandomWaypoint(
-        instance.scenario.user_xy, CBD_REGION, rng=7, speed_range=SPEEDS
+    batches = waypoint_batches(
+        instance.scenario, CBD_REGION, rng=7, speed_range=SPEEDS, epochs=EPOCHS, dt=DT
     )
-    sim = DynamicSimulation(instance, mobility, policy=policy)
-    return sim.run(epochs=EPOCHS, dt=DT, rng=7)
+    return DynamicSimulation(instance, policy=policy).run_events(batches, rng=7)
 
 
 def main() -> None:

@@ -18,13 +18,10 @@ Pieces:
   point (``BENCH_<rev>.json``);
 * :mod:`~repro.bench.compare` — the noise-aware regression gate
   (``idde bench --compare OLD NEW``);
-* :mod:`~repro.bench.parity` — the kernel-pair parity harness proving the
-  batched best-response kernel replays the reference move-for-move
-  (``idde bench --verify-parity``);
-* :mod:`~repro.bench.delivery_parity` — the same discipline for Phase 2:
-  the batched incremental delivery kernel replays the reference greedy
-  placement-for-placement, reject-count included
-  (``idde bench --verify-delivery-parity``).
+* :mod:`~repro.bench.parity` — the kernel-pair parity harness proving
+  each batched kernel replays its reference: the best-response kernel
+  move-for-move, the incremental delivery kernel placement-for-placement,
+  reject-count included (``idde bench --verify-parity``).
 
 See ``docs/BENCHMARKING.md`` for the workflow and the CI gate.
 """
@@ -45,21 +42,15 @@ from .document import (
     save_document,
     validate_document,
 )
-from .delivery_parity import (
-    DELIVERY_PARITY_CONFIGS,
-    DeliveryPairCase,
-    DeliveryParityReport,
-    render_delivery_parity_text,
-    verify_delivery_pair,
-)
 from .fixtures import SCALES, ScaleSpec, instance_for, scale_spec
 from .parity import (
+    DELIVERY_PARITY_CONFIGS,
     PARITY_SCHEDULES,
     PARITY_SEEDS,
-    KernelPairCase,
+    PairCase,
     ParityReport,
     render_parity_text,
-    verify_kernel_pair,
+    verify_parity,
 )
 from .registry import Benchmark, all_benchmarks, benchmark, get_benchmark, select_benchmarks
 from .runner import BenchRunConfig, run_benchmarks, run_one
@@ -74,11 +65,9 @@ __all__ = [
     "BenchStats",
     "CompareResult",
     "DELIVERY_PARITY_CONFIGS",
-    "DeliveryPairCase",
-    "DeliveryParityReport",
-    "KernelPairCase",
     "PARITY_SCHEDULES",
     "PARITY_SEEDS",
+    "PairCase",
     "ParityReport",
     "ScaleSpec",
     "all_benchmarks",
@@ -91,7 +80,6 @@ __all__ = [
     "instance_for",
     "load_document",
     "render_compare_text",
-    "render_delivery_parity_text",
     "render_parity_text",
     "render_text",
     "run_benchmarks",
@@ -102,6 +90,5 @@ __all__ = [
     "summarize",
     "time_callable",
     "validate_document",
-    "verify_delivery_pair",
-    "verify_kernel_pair",
+    "verify_parity",
 ]

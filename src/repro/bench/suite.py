@@ -21,7 +21,7 @@ The hot paths, mapped to the paper:
   marginal-latency-per-byte placement (Eq. 17, Theorems 6–7) as a kernel
   pair: the reference per-item sweep and the incremental gain-table
   kernel replay the identical placement sequence (parity proven by
-  :mod:`repro.bench.delivery_parity`), so their ratio IS the kernel
+  :mod:`repro.bench.parity`), so their ratio IS the kernel
   speed-up; run them at ``M_k64``, where delivery dominates the solve,
   for the trajectory point;
 * ``workload.replay.warm`` / ``workload.replay.cold`` — the day-in-the-

@@ -261,11 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument(
         "--verify-parity", action="store_true",
-        help="verify reference/batched kernel-pair parity; exit 1 on mismatch",
-    )
-    p_bench.add_argument(
-        "--verify-delivery-parity", action="store_true",
-        help="verify reference/batched delivery kernel-pair parity; exit 1 on mismatch",
+        help="verify reference/batched kernel-pair parity of the game and "
+        "delivery kernels; exit 1 on mismatch",
     )
 
     p_serve = sub.add_parser(
@@ -494,25 +491,45 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_dynamics(args: argparse.Namespace) -> int:
+    from .errors import ReproError
+
+    try:
+        return _dynamics_impl(args)
+    except ReproError as exc:
+        print(f"idde dynamics: error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dynamics_impl(args: argparse.Namespace) -> int:
     from .datasets.melbourne import CBD_REGION
-    from .dynamics import DynamicSimulation, RandomWaypoint
+    from .dynamics import DynamicSimulation, waypoint_batches
 
     instance = IDDEInstance.generate(
         n=args.n, m=args.m, k=args.k, density=args.density, seed=args.seed
     )
     policies = ["warm", "cold", "static"] if args.policy == "all" else [args.policy]
     speed = (max(args.speed * 0.5, 0.1), args.speed * 1.5)
+    # Every policy replays the identical walk; building the sources first
+    # rejects bad --epochs/--dt before any solve runs.
+    sources = {
+        policy: waypoint_batches(
+            instance.scenario,
+            CBD_REGION,
+            rng=args.seed,
+            speed_range=speed,
+            epochs=args.epochs,
+            dt=args.dt,
+        )
+        for policy in policies
+    }
     print(f"instance: {instance}; {args.epochs} epochs x {args.dt}s, speeds {speed} m/s")
     print(
         f"{'policy':>7} | {'R_avg':>7} | {'L_avg':>7} | {'realloc':>7} | "
         f"{'moves':>6} | {'migr MB':>8} | {'solve s':>8}"
     )
-    for policy in policies:
-        mobility = RandomWaypoint(
-            instance.scenario.user_xy, CBD_REGION, rng=args.seed, speed_range=speed
-        )
-        sim = DynamicSimulation(instance, mobility, policy=policy)
-        records = sim.run(epochs=args.epochs, dt=args.dt, rng=args.seed)
+    for policy, batches in sources.items():
+        sim = DynamicSimulation(instance, policy=policy)
+        records = sim.run_events(batches, rng=args.seed)
         s = DynamicSimulation.summarize(records)
         print(
             f"{policy:>7} | {s['mean_r_avg']:7.2f} | {s['mean_l_avg_ms']:7.2f} | "
@@ -846,18 +863,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     threshold = DEFAULT_THRESHOLD if args.threshold is None else args.threshold
     try:
         if args.verify_parity:
-            from .bench import render_parity_text, verify_kernel_pair
+            from .bench import render_parity_text, verify_parity
 
-            report = verify_kernel_pair(scale=args.scale)
+            report = verify_parity(scale=args.scale)
             print(render_parity_text(report))
             return 0 if report.ok else 1
-
-        if args.verify_delivery_parity:
-            from .bench import render_delivery_parity_text, verify_delivery_pair
-
-            delivery_report = verify_delivery_pair(scale=args.scale)
-            print(render_delivery_parity_text(delivery_report))
-            return 0 if delivery_report.ok else 1
 
         if args.compare is not None:
             old_path, new_path = args.compare

@@ -269,7 +269,7 @@ class DeliveryConfig:
         it incrementally — only the placed item's row changes between
         iterations.  The two are a verified pair: identical placement
         sequence, gains, and threshold-reject counts, bit for bit (see
-        ``repro.bench.delivery_parity`` and docs/BENCHMARKING.md).
+        ``repro.bench.parity`` and docs/BENCHMARKING.md).
     """
 
     ratio_rule: bool = True

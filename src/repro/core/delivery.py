@@ -25,7 +25,7 @@ Two kernels implement the loop (``DeliveryConfig.kernel``):
     re-derived (``O(K)``).  Per-iteration cost drops by ~K× with no
     approximation: the pair is bit-for-bit identical, including argmax
     tie-breaks and the tracer's threshold-reject counts (see
-    ``repro.bench.delivery_parity``).
+    ``repro.bench.parity``).
 """
 
 from __future__ import annotations

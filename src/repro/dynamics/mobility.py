@@ -1,64 +1,35 @@
-"""User mobility models.
+"""User mobility: the random-waypoint model and its event source.
 
-Both models operate on an ``(M, 2)`` position array and a bounding
-:class:`~repro.geometry.Region`, advancing positions by one epoch of
-``dt`` seconds per :meth:`step`.  Speeds follow the pedestrian/vehicle
-mix customary in edge-computing mobility studies (default 0.5–3 m/s).
+:class:`RandomWaypoint` operates on an ``(M, 2)`` position array and a
+bounding :class:`~repro.geometry.Region`, advancing positions by one
+epoch of ``dt`` seconds per :meth:`~RandomWaypoint.step`: each user walks
+toward a private target at a private speed and draws a fresh target on
+arrival (the classic model; smooth, persistent trajectories).  Speeds
+follow the pedestrian/vehicle mix customary in edge-computing mobility
+studies (default 0.5–3 m/s).
 
-* :class:`RandomWaypoint` — each user walks toward a private target at a
-  private speed and draws a fresh target on arrival (the classic model;
-  produces smooth, persistent trajectories);
-* :class:`ConfinedRandomWalk` — i.i.d. Gaussian steps reflected at the
-  region boundary (produces jittery, diffusive motion; a harsher test of
-  allocation stability).
+:func:`waypoint_batches` turns the model into the ``idde-events/1``
+vocabulary: one :class:`~repro.workload.EpochBatch` of absolute
+:class:`~repro.workload.Move` events per epoch, ready for
+:meth:`~repro.dynamics.DynamicSimulation.run_events`.
 """
 
 from __future__ import annotations
 
-import abc
+from typing import Iterator
 
 import numpy as np
 
-from ..errors import ScenarioError
+from ..errors import ExperimentError, ScenarioError
 from ..geometry import Region
 from ..rng import ensure_rng
+from ..types import Scenario
+from ..workload.events import EpochBatch, Move
 
-__all__ = ["MobilityModel", "RandomWaypoint", "ConfinedRandomWalk"]
-
-
-class MobilityModel(abc.ABC):
-    """Stateful mobility process over a fixed user population."""
-
-    def __init__(self, positions: np.ndarray, region: Region):
-        positions = np.asarray(positions, dtype=float)
-        if positions.ndim != 2 or positions.shape[1] != 2:
-            raise ScenarioError(f"positions must be (M, 2), got {positions.shape}")
-        self.region = region
-        self.positions = np.clip(
-            positions,
-            [region.x0, region.y0],
-            [region.x1, region.y1],
-        )
-
-    @property
-    def n_users(self) -> int:
-        return self.positions.shape[0]
-
-    @abc.abstractmethod
-    def step(self, dt: float) -> np.ndarray:
-        """Advance all users by ``dt`` seconds; returns the new ``(M, 2)``
-        positions (also stored on the model)."""
-
-    def _clip(self) -> None:
-        np.clip(
-            self.positions[:, 0], self.region.x0, self.region.x1, out=self.positions[:, 0]
-        )
-        np.clip(
-            self.positions[:, 1], self.region.y0, self.region.y1, out=self.positions[:, 1]
-        )
+__all__ = ["RandomWaypoint", "waypoint_batches"]
 
 
-class RandomWaypoint(MobilityModel):
+class RandomWaypoint:
     """Walk to a uniformly random target, then pick another.
 
     Parameters
@@ -76,13 +47,25 @@ class RandomWaypoint(MobilityModel):
         *,
         speed_range: tuple[float, float] = (0.5, 3.0),
     ):
-        super().__init__(positions, region)
+        positions = np.asarray(positions, dtype=float)
+        if positions.ndim != 2 or positions.shape[1] != 2:
+            raise ScenarioError(f"positions must be (M, 2), got {positions.shape}")
         lo, hi = speed_range
         if not (0 < lo <= hi):
             raise ScenarioError(f"bad speed_range {speed_range}")
+        self.region = region
+        self.positions = np.clip(
+            positions,
+            [region.x0, region.y0],
+            [region.x1, region.y1],
+        )
         self.rng = ensure_rng(rng)
         self.speeds = self.rng.uniform(lo, hi, size=self.n_users)
         self.targets = self._draw_targets(np.arange(self.n_users))
+
+    @property
+    def n_users(self) -> int:
+        return self.positions.shape[0]
 
     def _draw_targets(self, users: np.ndarray) -> np.ndarray:
         xs = self.rng.uniform(self.region.x0, self.region.x1, size=len(users))
@@ -95,6 +78,8 @@ class RandomWaypoint(MobilityModel):
         return targets
 
     def step(self, dt: float) -> np.ndarray:
+        """Advance all users by ``dt`` seconds; returns the new ``(M, 2)``
+        positions (also stored on the model)."""
         if dt < 0:
             raise ScenarioError(f"negative dt {dt}")
         delta = self.targets - self.positions
@@ -110,40 +95,48 @@ class RandomWaypoint(MobilityModel):
         self.positions[arriving] = self.targets[arriving]
         if arriving.any():
             self.targets = self._draw_targets(np.flatnonzero(arriving))
-        self._clip()
+        np.clip(
+            self.positions[:, 0], self.region.x0, self.region.x1, out=self.positions[:, 0]
+        )
+        np.clip(
+            self.positions[:, 1], self.region.y0, self.region.y1, out=self.positions[:, 1]
+        )
         return self.positions
 
 
-class ConfinedRandomWalk(MobilityModel):
-    """Gaussian steps with reflection at the region boundary."""
+def waypoint_batches(
+    scenario: Scenario,
+    region: Region,
+    *,
+    rng: np.random.Generator | int | None,
+    speed_range: tuple[float, float] = (0.5, 3.0),
+    epochs: int,
+    dt: float,
+) -> Iterator[EpochBatch]:
+    """Random-waypoint motion of ``scenario``'s users as event batches.
 
-    def __init__(
-        self,
-        positions: np.ndarray,
-        region: Region,
-        rng: np.random.Generator | int | None = None,
-        *,
-        sigma: float = 1.5,
-    ):
-        super().__init__(positions, region)
-        if sigma <= 0:
-            raise ScenarioError(f"sigma must be > 0, got {sigma}")
-        self.rng = ensure_rng(rng)
-        #: Per-second displacement scale (m / sqrt(s)).
-        self.sigma = sigma
+    A run of ``epochs`` epochs is the epoch-0 solve at the starting
+    positions plus ``epochs - 1`` batches; batch ``i`` covers
+    ``[i * dt, (i + 1) * dt)`` seconds and carries one :class:`Move` per
+    user to its position after the step.  The model starts from
+    ``scenario.user_xy``, so the batches always cover the scenario's
+    users.  Arguments are checked here, when the source is built, not on
+    the first batch.
+    """
+    if epochs < 1:
+        raise ExperimentError(f"need at least one epoch, got {epochs}")
+    if dt < 0:
+        raise ScenarioError(f"negative dt {dt}")
+    model = RandomWaypoint(scenario.user_xy, region, rng, speed_range=speed_range)
 
-    def step(self, dt: float) -> np.ndarray:
-        if dt < 0:
-            raise ScenarioError(f"negative dt {dt}")
-        step = self.rng.normal(0.0, self.sigma * np.sqrt(max(dt, 0.0)), size=(self.n_users, 2))
-        self.positions += step
-        # Reflect at the boundary (one bounce is enough for sane sigmas;
-        # clip catches pathological steps).
-        for axis, lo, hi in ((0, self.region.x0, self.region.x1), (1, self.region.y0, self.region.y1)):
-            coord = self.positions[:, axis]
-            over = coord > hi
-            under = coord < lo
-            coord[over] = 2 * hi - coord[over]
-            coord[under] = 2 * lo - coord[under]
-        self._clip()
-        return self.positions
+    def _batches() -> Iterator[EpochBatch]:
+        for epoch in range(1, epochs):
+            t = epoch * dt
+            positions = model.step(dt)
+            moves = tuple(
+                Move(t=t, user=j, x=float(x), y=float(y))
+                for j, (x, y) in enumerate(positions)
+            )
+            yield EpochBatch(epoch - 1, (epoch - 1) * dt, t, moves)
+
+    return _batches()

@@ -8,10 +8,10 @@ tracing (spans ``timeline.epoch`` / ``workload.batch``) and the
 batched kernels, and yields a full schema-versioned
 :class:`~repro.api.Solution` on its :class:`EpochRecord`.
 
-The classic mobility-model entry point (:meth:`DynamicSimulation.run`)
-still exists: it *adapts* a :class:`~repro.dynamics.mobility.MobilityModel`
-plus optional :class:`~repro.dynamics.churn.PoissonChurn` into that same
-event stream, so both front-ends exercise one engine.
+Mobility runs are one more event source:
+:func:`~repro.dynamics.mobility.waypoint_batches` emits random-waypoint
+:class:`~repro.workload.Move` batches for :meth:`DynamicSimulation.run_events`,
+the one entry point of the loop.
 
 Re-solve policies
 -----------------
@@ -45,10 +45,8 @@ from ..core.repair import repair_allocation
 from ..errors import ExperimentError
 from ..obs.tracer import Tracer, ensure_tracer
 from ..rng import ensure_rng
-from ..workload.events import EpochBatch, Event, Move, UserJoin, UserLeave, WorkloadState
-from .churn import PoissonChurn
+from ..workload.events import EpochBatch, WorkloadState
 from .migration import MigrationPlan, plan_migration
-from .mobility import MobilityModel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from ..api import Solution
@@ -97,79 +95,24 @@ class EpochRecord:
 
 
 class DynamicSimulation:
-    """Epoch-stepped IDDE over a streaming workload.
-
-    ``mobility`` is optional: event-driven runs (:meth:`run_events`) bring
-    their own movement; the legacy :meth:`run` entry point requires it.
-    """
+    """Epoch-stepped IDDE over a streaming workload (:meth:`run_events`)."""
 
     def __init__(
         self,
         instance: IDDEInstance,
-        mobility: MobilityModel | None = None,
         *,
         policy: str = "warm",
-        churn: PoissonChurn | None = None,
         game: GameConfig | None = None,
         delivery: DeliveryConfig | None = None,
         tracer: Tracer | None = None,
     ) -> None:
         if policy not in _POLICIES:
             raise ExperimentError(f"policy must be one of {_POLICIES}, got {policy!r}")
-        if mobility is not None and mobility.n_users != instance.n_users:
-            raise ExperimentError(
-                f"mobility covers {mobility.n_users} users, instance has {instance.n_users}"
-            )
-        if churn is not None and churn.n_users != instance.n_users:
-            raise ExperimentError(
-                f"churn covers {churn.n_users} users, instance has {instance.n_users}"
-            )
         self.instance = instance
-        self.mobility = mobility
         self.policy = policy
-        self.churn = churn
         self.game_cfg = game or GameConfig()
         self.delivery_cfg = delivery or DeliveryConfig()
         self.tracer = ensure_tracer(tracer)
-
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        epochs: int,
-        dt: float,
-        rng: np.random.Generator | int | None = None,
-    ) -> list[EpochRecord]:
-        """Run ``epochs`` epochs of ``dt`` seconds each over the mobility
-        model (plus churn, if configured), adapted into the event engine.
-
-        Epoch 0 is the initial solve at the starting positions (no
-        movement, empty migration); subsequent epochs move users first.
-        """
-        if self.mobility is None:
-            raise ExperimentError("run() needs a mobility model; use run_events()")
-        if epochs < 1:
-            raise ExperimentError(f"need at least one epoch, got {epochs}")
-        return self.run_events(self._mobility_batches(epochs, dt), rng)
-
-    def _mobility_batches(self, epochs: int, dt: float) -> Iterable[EpochBatch]:
-        """Adapt mobility steps + churn-mask flips into event batches."""
-        assert self.mobility is not None
-        prev_active = self.churn.active.copy() if self.churn is not None else None
-        for epoch in range(1, epochs):
-            t = epoch * dt
-            events: list[Event] = []
-            positions = self.mobility.step(dt)
-            events.extend(
-                Move(t=t, user=j, x=float(x), y=float(y))
-                for j, (x, y) in enumerate(positions)
-            )
-            if self.churn is not None and prev_active is not None:
-                active = self.churn.step()
-                for j in np.flatnonzero(active != prev_active):
-                    cls = UserJoin if active[j] else UserLeave
-                    events.append(cls(t=t, user=int(j)))
-                prev_active = active.copy()
-            yield EpochBatch(epoch - 1, (epoch - 1) * dt, t, tuple(events))
 
     # ------------------------------------------------------------------
     def run_events(
@@ -199,9 +142,7 @@ class DynamicSimulation:
         )
         records: list[EpochRecord] = []
         base = self.instance.scenario
-        state = WorkloadState.from_scenario(
-            base, self.churn.active if self.churn is not None else None
-        )
+        state = WorkloadState.from_scenario(base)
 
         def _instance_at() -> IDDEInstance:
             return IDDEInstance(
@@ -209,9 +150,8 @@ class DynamicSimulation:
             )
 
         def _active() -> np.ndarray:
-            # Always thread the mask: with a churn process it starts partial,
-            # and a pure event stream can flip it via UserJoin/UserLeave; an
-            # all-True mask is identical to "everyone plays".
+            # Always thread the mask: UserJoin/UserLeave events flip it, and
+            # an all-True mask is identical to "everyone plays".
             return state.active.copy()
 
         # Epoch 0: the cold build-up, through the façade like every other.

@@ -114,9 +114,26 @@ class TestVerifyParity:
         rc = main(["bench", "--verify-parity"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "PARITY OK" in out
-        # The default grid is the ISSUE's 5 seeds x 3 schedules.
-        assert out.count(" ok ") >= 15
+        assert "PARITY OK: 55 cases" in out
+        # The default grid: 5 seeds x 3 schedules for the game kernels and
+        # 5 seeds x 4 configs x {plain, traced} for the delivery kernels.
+        assert out.count(" ok ") == 55
+        assert out.count("\n  game ") == 15
+        assert out.count("\n  delivery ") == 40
+
+    def test_verify_parity_exits_1_on_a_broken_case(self, capsys, monkeypatch):
+        import repro.bench
+        from repro.bench import PairCase, ParityReport
+
+        broken = ParityReport(
+            cases=(PairCase(family="delivery", label="S seed=0", size=3, broken=("trace",)),)
+        )
+        monkeypatch.setattr(repro.bench, "verify_parity", lambda scale: broken)
+        rc = main(["bench", "--verify-parity"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "PARITY BROKEN (1 cases)" in out
+        assert "broken=trace" in out
 
 
 class TestCommittedBaseline:

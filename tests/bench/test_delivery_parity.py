@@ -1,4 +1,4 @@
-"""The delivery kernel-pair parity harness (repro.bench.delivery_parity).
+"""The delivery family of the kernel-pair parity harness (repro.bench.parity).
 
 Exhaustive parity coverage lives in ``tests/core/test_delivery_kernels.py``;
 these tests pin the harness itself — grid shape, verdict plumbing, and
@@ -8,20 +8,25 @@ the rendered report the CI gate prints.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import cache
 
 from repro.bench import (
     DELIVERY_PARITY_CONFIGS,
-    DeliveryPairCase,
-    DeliveryParityReport,
-    render_delivery_parity_text,
-    verify_delivery_pair,
+    PairCase,
+    ParityReport,
+    render_parity_text,
+    verify_parity,
 )
 
 
-def _one_seed_report() -> DeliveryParityReport:
+@cache
+def _one_seed_report() -> ParityReport:
     # One shared-fixture seed keeps this cheap: the S instance and its
     # equilibrium are memoised across the whole test process.
-    return verify_delivery_pair(scale="S", seeds=(0,))
+    report = verify_parity(scale="S", seeds=(0,))
+    return ParityReport(
+        cases=tuple(case for case in report.cases if case.family == "delivery")
+    )
 
 
 class TestVerifyDeliveryPair:
@@ -33,34 +38,36 @@ class TestVerifyDeliveryPair:
         assert report.failures == ()
 
     def test_both_rules_and_thresholds_covered(self):
-        report = _one_seed_report()
-        rules = {case.ratio_rule for case in report.cases}
-        assert rules == {True, False}
-        assert any(case.stop_threshold > 0 for case in report.cases)
-        assert any(case.traced for case in report.cases)
-        assert any(not case.traced for case in report.cases)
+        labels = [case.label for case in _one_seed_report().cases]
+        assert any(" ratio " in label for label in labels)
+        assert any(" abs " in label for label in labels)
+        assert any("thresh=0 " in label for label in labels)
+        assert any("thresh=0 " not in label for label in labels)
+        assert any(label.endswith("traced") for label in labels)
+        assert any(label.endswith("plain") for label in labels)
 
     def test_some_case_actually_places(self):
         """A grid where nothing is placed would verify vacuously."""
         report = _one_seed_report()
-        assert any(case.placements > 0 for case in report.cases)
+        assert any(case.size > 0 for case in report.cases)
 
     def test_render_reports_parity_ok(self):
         report = _one_seed_report()
-        text = render_delivery_parity_text(report)
+        text = render_parity_text(report)
         assert "PARITY OK" in text
         assert f"{len(report.cases)} cases" in text
 
     def test_render_flags_failures(self):
         report = _one_seed_report()
-        broken = replace(report.cases[0], same_gains=False)
+        broken = replace(report.cases[0], broken=("gains",))
         assert not broken.ok
         assert "gains" in broken.describe()
-        bad_report = DeliveryParityReport(cases=(broken,) + report.cases[1:])
+        bad_report = ParityReport(cases=(broken,) + report.cases[1:])
         assert not bad_report.ok
         assert bad_report.failures == (broken,)
-        assert "PARITY BROKEN" in render_delivery_parity_text(bad_report)
+        assert "PARITY BROKEN" in render_parity_text(bad_report)
 
     def test_case_describe_mentions_rule(self):
-        case: DeliveryPairCase = _one_seed_report().cases[0]
+        case: PairCase = _one_seed_report().cases[0]
         assert ("ratio" in case.describe()) or ("abs" in case.describe())
+        assert "placements=" in case.describe()

@@ -7,13 +7,13 @@ certificate bit-identical — the acceptance gate for the instrumentation.
 
 from __future__ import annotations
 
-from repro.bench.parity import verify_kernel_pair
+from repro.bench.parity import verify_parity
 from repro.obs import RecordingTracer
 
 
 def test_parity_holds_with_tracing_enabled():
     tracer = RecordingTracer()
-    report = verify_kernel_pair(scale="S", seeds=(0,), tracer=tracer)
+    report = verify_parity(scale="S", seeds=(0,), tracer=tracer)
     assert report.ok, [case.describe() for case in report.failures]
     # Both kernels of every (seed, schedule) case were actually observed.
     assert len([s for s in tracer.spans if s.name == "game.run"]) == 6

@@ -3,7 +3,7 @@
 The batched kernel's claim is bit-for-bit equivalence — identical
 placement sequence, identical floats, identical tracer observables — so
 every comparison here is exact equality, never a tolerance (the
-``repro.bench.delivery_parity`` discipline).
+``repro.bench.parity`` discipline).
 """
 
 from dataclasses import replace

@@ -134,3 +134,29 @@ class TestPotentialTrace:
         game = IddeUGame(tiny_instance, track_potential=True)
         result = game.run(rng=0)
         assert len(result.potential_trace) == result.moves + 1
+
+
+class TestGameWithMask:
+    """An active mask restricts the player set: inactive users never play."""
+
+    def test_inactive_users_stay_unallocated(self, tiny_instance):
+        active = np.array([True, True, False, True, False, True])
+        result = IddeUGame(tiny_instance).run(rng=0, active=active)
+        assert result.converged
+        assert not result.profile.allocated[2]
+        assert not result.profile.allocated[4]
+        assert result.profile.allocated[active].all()
+
+    def test_warm_start_must_respect_mask(self, tiny_instance):
+        from repro.errors import ConvergenceError
+
+        full = IddeUGame(tiny_instance).run(rng=0).profile
+        active = np.zeros(6, dtype=bool)
+        with pytest.raises(ConvergenceError):
+            IddeUGame(tiny_instance).run(rng=0, initial=full, active=active)
+
+    def test_mask_shape_checked(self, tiny_instance):
+        from repro.errors import ConvergenceError
+
+        with pytest.raises(ConvergenceError):
+            IddeUGame(tiny_instance).run(rng=0, active=np.array([True]))

@@ -226,17 +226,16 @@ class TestBatchedKernel:
 
 
 class TestParityHarness:
-    """The ``repro.bench.parity`` harness the CLI and CI run."""
+    """The game family of the ``repro.bench.parity`` harness the CLI and CI run."""
 
     def test_verify_kernel_pair_ok(self):
-        from repro.bench.parity import render_parity_text, verify_kernel_pair
+        from repro.bench.parity import render_parity_text, verify_parity
 
-        report = verify_kernel_pair(
-            scale="S", seeds=(0, 1), schedules=("round-robin", "random-winner")
-        )
+        report = verify_parity(scale="S", seeds=(0, 1))
+        game = [case for case in report.cases if case.family == "game"]
         assert report.ok
         assert report.failures == ()
-        assert len(report.cases) == 4
+        assert len(game) == 6
         text = render_parity_text(report)
         assert "PARITY OK" in text
         assert "round-robin" in text
@@ -244,23 +243,39 @@ class TestParityHarness:
     def test_report_flags_broken_cases(self):
         from dataclasses import replace
 
-        from repro.bench.parity import KernelPairCase, ParityReport
+        from repro.bench.parity import PairCase, ParityReport
 
-        good = KernelPairCase(
-            scale="S",
-            seed=0,
-            schedule="round-robin",
-            moves=10,
-            rounds=2,
-            same_move_log=True,
-            same_profile=True,
-            same_certificate=True,
-        )
-        bad = replace(good, seed=1, same_move_log=False)
+        good = PairCase(family="game", label="S seed=0 round-robin", size=10)
+        bad = replace(good, label="S seed=1 round-robin", broken=("move-log",))
         report = ParityReport(cases=(good, bad))
         assert not report.ok
         assert report.failures == (bad,)
         assert "move-log" in bad.describe()
+
+    @pytest.mark.parametrize(
+        "field, value", [("effective_epsilon", 1e-3), ("capped_users", [2])]
+    )
+    def test_certificate_covers_epsilon_and_capped_users(self, small_instance, field, value):
+        """Two runs differing only in the certificate's escalated epsilon or
+        capped users must break the ``certificate`` observable."""
+        from dataclasses import replace
+
+        from repro.bench.parity import (
+            ParityReport,
+            _compare,
+            _game_observables,
+            render_parity_text,
+        )
+
+        ref = IddeUGame(small_instance).run(rng=0)
+        bat = replace(ref, **{field: value})
+        case = _compare(
+            "game", "hand-built", ref.moves, _game_observables(ref), _game_observables(bat)
+        )
+        assert case.broken == ("certificate",)
+        text = render_parity_text(ParityReport(cases=(case,)))
+        assert "PARITY BROKEN" in text
+        assert "certificate" in text
 
 
 class TestActiveMaskHygiene:

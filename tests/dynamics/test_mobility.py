@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.dynamics.mobility import ConfinedRandomWalk, RandomWaypoint
-from repro.errors import ScenarioError
+from repro.dynamics.mobility import RandomWaypoint, waypoint_batches
+from repro.errors import ExperimentError, ScenarioError
 from repro.geometry import Region
 
 REGION = Region(0, 0, 1000, 800)
@@ -62,32 +62,45 @@ class TestRandomWaypoint:
         with pytest.raises(ScenarioError):
             model.step(-1.0)
 
-
-class TestConfinedRandomWalk:
-    def test_stays_in_region(self):
-        model = ConfinedRandomWalk(start_positions(), REGION, rng=0, sigma=30.0)
-        for _ in range(100):
-            pts = model.step(10.0)
-            assert REGION.contains(pts).all()
-
-    def test_diffuses(self):
-        model = ConfinedRandomWalk(start_positions(), REGION, rng=1, sigma=2.0)
-        before = model.positions.copy()
-        for _ in range(10):
-            model.step(10.0)
-        moved = np.linalg.norm(model.positions - before, axis=1)
-        assert moved.mean() > 1.0
-
-    def test_zero_dt_is_static(self):
-        model = ConfinedRandomWalk(start_positions(), REGION, rng=2)
-        before = model.positions.copy()
-        model.step(0.0)
-        assert np.allclose(model.positions, before)
-
-    def test_bad_sigma(self):
-        with pytest.raises(ScenarioError):
-            ConfinedRandomWalk(start_positions(), REGION, rng=0, sigma=0.0)
-
     def test_bad_positions_shape(self):
         with pytest.raises(ScenarioError):
-            ConfinedRandomWalk(np.zeros((3, 3)), REGION, rng=0)
+            RandomWaypoint(np.zeros((3, 3)), REGION, rng=0)
+
+
+class TestWaypointBatches:
+    def test_batches_replay_the_model_steps(self, tiny_scenario):
+        """One Move per user per epoch, at the model's stepped position."""
+        model = RandomWaypoint(tiny_scenario.user_xy, REGION, rng=4, speed_range=(2.0, 9.0))
+        batches = list(
+            waypoint_batches(
+                tiny_scenario, REGION, rng=4, speed_range=(2.0, 9.0), epochs=4, dt=15.0
+            )
+        )
+        assert [(b.index, b.t_start, b.t_end) for b in batches] == [
+            (0, 0.0, 15.0),
+            (1, 15.0, 30.0),
+            (2, 30.0, 45.0),
+        ]
+        for batch in batches:
+            positions = model.step(15.0)
+            assert [(e.user, e.x, e.y, e.t) for e in batch] == [
+                (j, float(x), float(y), batch.t_end) for j, (x, y) in enumerate(positions)
+            ]
+
+    def test_one_epoch_is_the_initial_solve_only(self, tiny_scenario):
+        assert list(waypoint_batches(tiny_scenario, REGION, rng=0, epochs=1, dt=10.0)) == []
+
+    def test_zero_dt_is_static(self, tiny_scenario):
+        (batch,) = waypoint_batches(tiny_scenario, REGION, rng=0, epochs=2, dt=0.0)
+        assert np.array_equal([(e.x, e.y) for e in batch], tiny_scenario.user_xy)
+
+    def test_arguments_checked_when_called(self, tiny_scenario):
+        """Bad arguments fail at the call, before any batch is pulled."""
+        with pytest.raises(ExperimentError):
+            waypoint_batches(tiny_scenario, REGION, rng=0, epochs=0, dt=10.0)
+        with pytest.raises(ScenarioError):
+            waypoint_batches(tiny_scenario, REGION, rng=0, epochs=3, dt=-5.0)
+        with pytest.raises(ScenarioError):
+            waypoint_batches(
+                tiny_scenario, REGION, rng=0, speed_range=(0.0, 1.0), epochs=3, dt=1.0
+            )

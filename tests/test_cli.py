@@ -31,9 +31,10 @@ class TestParser:
             ["replay", "--shards", "auto"],
             ["serve", "--shards", "auto"],
             ["bench", "--verify-shard-parity"],
+            ["bench", "--verify-delivery-parity"],
         ],
     )
-    def test_removed_sharding_flags_are_errors(self, argv, capsys):
+    def test_removed_flags_are_errors(self, argv, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
         assert "unrecognized arguments" in capsys.readouterr().err
@@ -79,6 +80,20 @@ class TestCommands:
         assert rc == 0
         out = capsys.readouterr().out
         assert "warm" in out and "migr MB" in out
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--epochs", "0", "at least one epoch"), ("--dt", "-5", "negative dt")],
+    )
+    def test_dynamics_bad_input_is_a_clean_error(self, capsys, flag, value, message):
+        """A bad walk fails with exit 2 and one line, before any solve runs."""
+        rc = main(["dynamics", "--n", "8", "--m", "20", "--k", "2", flag, value])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("idde dynamics: error:")
+        assert message in captured.err
+        assert "Traceback" not in captured.err
 
     def test_gap(self, capsys):
         rc = main(["gap", "--n", "8", "--m", "20", "--k", "2", "--trials", "2"])

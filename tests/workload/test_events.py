@@ -96,3 +96,20 @@ class TestWorkloadState:
         with pytest.raises(ScenarioError, match="users"):
             bad.scenario(tiny_scenario)
         assert state.scenario(tiny_scenario).n_users == tiny_scenario.n_users
+
+    def test_projection_zeroes_inactive_requests(self, tiny_scenario):
+        active = np.array([True, False, True, False, True, True])
+        out = WorkloadState.from_scenario(tiny_scenario, active).scenario(tiny_scenario)
+        assert out.requests[1].sum() == 0
+        assert out.requests[3].sum() == 0
+        assert np.array_equal(out.requests[0], tiny_scenario.requests[0])
+
+    def test_projection_preserves_shapes(self, tiny_scenario):
+        active = np.zeros(6, dtype=bool)
+        out = WorkloadState.from_scenario(tiny_scenario, active).scenario(tiny_scenario)
+        assert out.n_users == tiny_scenario.n_users
+        assert out.total_requests == 0
+
+    def test_active_mask_shape_checked(self, tiny_scenario):
+        with pytest.raises(ScenarioError):
+            WorkloadState.from_scenario(tiny_scenario, np.array([True]))
