@@ -35,7 +35,7 @@ The hot paths, mapped to the paper:
 * ``serve.request.warm`` — the IDDE-Serve hot path end to end: a
   warm-booted :class:`~repro.serve.SolverSession` services the same
   day-in-the-life delta batches — fold events, project the instance,
-  warm re-solve, *independently* re-check the ε-Nash certificate —
+  warm re-solve, gate on the solve's own ε-Nash certificate —
   exactly what one ``POST /v1/events`` costs the daemon per request
   (run at ``M`` for the trajectory point);
 * ``topology.all-pairs-dijkstra`` — the pure-Python fallback Dijkstra
@@ -467,7 +467,7 @@ def _serve_day(scale: str, seed: int) -> tuple[list, object]:
 @benchmark(
     "serve.request.warm",
     "IDDE-Serve session servicing a day of delta batches: fold events, "
-    "warm re-solve, independent certificate check per response",
+    "warm re-solve, ε-Nash certificate gate per response",
 )
 def _bench_serve_request_warm(scale: str, seed: int) -> Callable[[], object]:
     from ..request import SolveRequest

@@ -2,11 +2,12 @@
 
 Each epoch consumes one :class:`~repro.workload.EpochBatch` of events
 (user joins/leaves, moves, popularity shifts — see
-:mod:`repro.workload`), folds it into the scenario state, and re-solves
-through the :func:`repro.api.solve` façade — so every epoch composes with
-tracing (spans ``timeline.epoch`` / ``workload.batch``) and the
-batched kernels, and yields a full schema-versioned
-:class:`~repro.api.Solution` on its :class:`EpochRecord`.
+:mod:`repro.workload`), folds it into the scenario state, and re-solves.
+A run drives one :class:`~repro.serve.session.SolverSession` — the same
+fold / project / warm re-solve / certificate loop ``idde serve`` runs —
+so every epoch composes with tracing (spans ``timeline.epoch`` /
+``workload.batch``) and the batched kernels, and yields a full
+schema-versioned :class:`~repro.api.Solution` on its :class:`EpochRecord`.
 
 Mobility runs are one more event source:
 :func:`~repro.dynamics.mobility.waypoint_batches` emits random-waypoint
@@ -16,10 +17,10 @@ the one entry point of the loop.
 Re-solve policies
 -----------------
 ``"warm"``
-    Re-enter the IDDE-U game from the previous equilibrium
-    (``api.solve(..., warm_start=prev)``; the façade repairs the profile
-    first).  The expected production mode: churn-proportional effort,
-    certificate still proven on the full instance.
+    Re-enter the IDDE-U game from the previous equilibrium (the
+    session's resident solution; the façade repairs the profile first).
+    The expected production mode: churn-proportional effort, certificate
+    still proven on the full instance.
 ``"cold"``
     Re-solve from scratch every epoch (the static algorithm replayed —
     the paper's implicit baseline for dynamic scenarios).
@@ -31,6 +32,7 @@ Re-solve policies
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
@@ -40,12 +42,11 @@ import numpy as np
 from ..config import DeliveryConfig, GameConfig
 from ..core.instance import IDDEInstance
 from ..core.objectives import evaluate
-from ..core.profiles import DeliveryProfile
+from ..core.profiles import AllocationProfile, DeliveryProfile
 from ..core.repair import repair_allocation
 from ..errors import ExperimentError
 from ..obs.tracer import Tracer, ensure_tracer
-from ..rng import ensure_rng
-from ..workload.events import EpochBatch, WorkloadState
+from ..workload.events import EpochBatch
 from .migration import MigrationPlan, plan_migration
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -118,7 +119,7 @@ class DynamicSimulation:
     def run_events(
         self,
         batches: Iterable[EpochBatch],
-        rng: np.random.Generator | int | None = None,
+        rng: int | None = None,
     ) -> list[EpochRecord]:
         """Run the epoch loop over an event-batch stream.
 
@@ -126,93 +127,61 @@ class DynamicSimulation:
         ``i >= 1`` applies batch ``i - 1`` and re-solves under the policy.
         The batch iterable is consumed lazily — a generator of a million
         events runs in bounded memory (records accumulate, events do not).
-        """
-        from ..api import solve  # local import: repro.api ↔ dynamics layering
-        from ..request import SolveRequest
 
-        rng = ensure_rng(rng)
+        ``rng`` is an integer seed (or ``None`` for 0): epoch ``e`` solves
+        with ``spawn_rng(rng, "serve", e)``, the session's rule.  A live
+        generator raises :class:`~repro.errors.ConfigurationError`.  A
+        solve whose ε-Nash certificate fails raises
+        :class:`~repro.errors.SolverError`.
+        """
+        from ..request import SolveRequest
+        from ..serve.session import SolverSession  # local: serve ↔ dynamics layering
+
         tracer = self.tracer
-        # One base request describes the run; each epoch stamps its own
-        # runtime state (warm profile, churn mask, RNG) through
-        # with_runtime — the same shape the IDDE-Serve session uses.
-        base_request = SolveRequest(
-            solver="idde-g",
-            game_config=self.game_cfg,
-            delivery_config=self.delivery_cfg,
+        session = SolverSession(
+            self.instance,
+            SolveRequest(
+                solver="idde-g",
+                game_config=self.game_cfg,
+                delivery_config=self.delivery_cfg,
+                warm_start=self.policy == "warm",
+                rng=rng,
+            ),
+            tracer=tracer,
         )
         records: list[EpochRecord] = []
-        base = self.instance.scenario
-        state = WorkloadState.from_scenario(base)
-
-        def _instance_at() -> IDDEInstance:
-            return IDDEInstance(
-                state.scenario(base), self.instance.topology, self.instance.radio
-            )
-
-        def _active() -> np.ndarray:
-            # Always thread the mask: UserJoin/UserLeave events flip it, and
-            # an all-True mask is identical to "everyone plays".
-            return state.active.copy()
-
-        # Epoch 0: the cold build-up, through the façade like every other.
-        instance = _instance_at()
-        with tracer.span("timeline.epoch", epoch=0, policy=self.policy) as span:
-            sol = solve(
-                instance,
-                base_request.with_runtime(active=_active(), rng=rng),
-                tracer=tracer,
-            )
-            span.set(moves=sol.game.moves if sol.game else 0, r_avg=sol.r_avg)
-        alloc, delivery = sol.allocation, sol.delivery
-        empty = DeliveryProfile.empty(instance.n_servers, instance.n_data)
-        records.append(
-            EpochRecord(
-                epoch=0,
-                r_avg=sol.r_avg,
-                l_avg_ms=sol.l_avg_ms,
-                game_moves=sol.game.moves if sol.game else 0,
-                reallocated_users=alloc.n_allocated,
-                uncovered_users=int((~instance.scenario.covered_users).sum()),
-                migration=plan_migration(instance, empty, delivery),
-                solve_time_s=sol.wall_time_s,
-                active_users=state.n_active,
-                n_events=0,
-                solution=sol,
-            )
-        )
-
-        for batch in batches:
-            epoch = batch.index + 1
+        # Epoch 0 is the cold build-up from the empty strategy, so its
+        # "changed" users are the allocated ones and it seeds every replica.
+        alloc = AllocationProfile.empty(self.instance.n_users)
+        delivery = DeliveryProfile.empty(self.instance.n_servers, self.instance.n_data)
+        for batch in itertools.chain([None], batches):
+            epoch = 0 if batch is None else batch.index + 1
             with tracer.span(
                 "timeline.epoch", epoch=epoch, policy=self.policy
             ) as span:
-                with tracer.span("workload.batch", events=batch.n_events) as bspan:
-                    state.apply(batch)
-                    bspan.set(active_users=state.n_active)
-                instance = _instance_at()
-                active = _active()
+                if batch is not None:
+                    with tracer.span("workload.batch", events=batch.n_events) as bspan:
+                        session.fold(batch)
+                        bspan.set(active_users=session.state.n_active)
 
-                if self.policy == "static":
+                if batch is not None and self.policy == "static":
+                    instance = session.project()
                     t0 = time.perf_counter()
-                    new_alloc, _detached = repair_allocation(instance, alloc, active)
+                    new_alloc, _detached = repair_allocation(
+                        instance, alloc, session.state.active
+                    )
                     solve_time = time.perf_counter() - t0
                     moves = 0
                     new_delivery = delivery
                     new_sol = None
                     ev = evaluate(instance, new_alloc, new_delivery)
                 else:
-                    new_sol = solve(
-                        instance,
-                        base_request.with_runtime(
-                            warm_start=alloc if self.policy == "warm" else None,
-                            active=active,
-                            rng=rng,
-                        ),
-                        tracer=tracer,
-                    )
+                    new_sol = session.solve()
+                    instance = session.solved_instance
+                    assert instance is not None
                     new_alloc = new_sol.allocation
                     new_delivery = new_sol.delivery
-                    moves = new_sol.game.moves if new_sol.game else 0
+                    moves = new_sol.game.moves
                     solve_time = new_sol.wall_time_s
                     ev = new_sol.evaluation
 
@@ -234,8 +203,8 @@ class DynamicSimulation:
                     uncovered_users=int((~instance.scenario.covered_users).sum()),
                     migration=migration,
                     solve_time_s=solve_time,
-                    active_users=state.n_active,
-                    n_events=batch.n_events,
+                    active_users=session.state.n_active,
+                    n_events=0 if batch is None else batch.n_events,
                     solution=new_sol,
                 )
             )

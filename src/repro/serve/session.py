@@ -8,38 +8,38 @@ that ``idde-events/1`` deltas fold into, the base
 :class:`~repro.api.Solution` (the next warm start), the epoch and
 request counters, and one :class:`~repro.obs.tracer.RecordingTracer`
 whose snapshots back the daemon's ``/v1/metrics`` and ``/v1/trace``
-endpoints.  It keeps no derived caches: every request projects a fresh
-instance from the workload state, so the SINR engines, coverage tables
-and all-pairs path costs are rebuilt per request and dropped after it.
-
-The lifecycle mirrors the streaming engine
-(:mod:`repro.dynamics.timeline`), lifted behind an API:
+endpoints.  It keeps no derived caches: every solve projects a fresh
+instance from the workload state (:meth:`project`), so the SINR engines,
+coverage tables and all-pairs path costs are rebuilt per request and
+dropped after it.  :meth:`repro.dynamics.DynamicSimulation.run_events`
+drives one session per run, so ``idde replay`` and ``idde serve`` share
+this loop:
 
 * :meth:`solve` — run the session's base :class:`~repro.request.SolveRequest`
   on the *current* workload state.  A request whose ``warm_start`` is the
   wire sentinel ``True`` re-enters the game from the session's resident
   solution (this is the only place the sentinel resolves; a direct
   :func:`repro.api.solve` on it raises).
-* :meth:`apply_events` — fold a delta batch into the workload state and
-  warm re-solve from the resident solution, exactly the
-  ``warm_start=prev`` + :func:`~repro.core.repair.repair_allocation` path.
+* :meth:`fold` — fold a delta batch into the workload state, all or nothing.
+* :meth:`apply_events` — :meth:`fold`, then warm re-solve from the
+  resident solution (``warm_start=prev`` +
+  :func:`~repro.core.repair.repair_allocation`).
 
-Every IDDE-G response is **independently certified**: the session rebuilds
-an :class:`~repro.core.game.IddeUGame` on the post-delta instance and
-re-checks ε-Nash at the tolerance the solve itself claims
-(``sol.game.effective_epsilon``) — the daemon never serves an allocation
-whose certificate it did not verify.  A failed certificate raises
-:class:`~repro.errors.SolverError` and the resident solution is *not*
-replaced.
+Every IDDE-G response carries its own solve's ε-Nash certificate
+(``sol.game.is_nash``: ``IddeUGame.run`` re-checks its profile on a fresh
+engine at the solve's tolerance, over its active players) — the game's
+own code, not an independent oracle.  A false certificate, including
+any truncated run, raises :class:`~repro.errors.SolverError` and the
+resident solution is *not* replaced.
 
 Thread-safety: two locks with distinct jobs.  Mutators (:meth:`solve`,
-:meth:`apply_events`) serialize end-to-end on a private mutate lock, so
-the warm-start chain is a strict sequence even without the daemon's own
-serialization.  A second, *short-held* state lock guards only input
-snapshots, commits, and the read-side helpers (:meth:`stats`,
-:meth:`solution_document`) — the solver kernel itself runs outside both
-read-visible critical sections, so a health probe from any thread
-answers in microseconds while a solve is minutes deep.
+:meth:`fold`, :meth:`apply_events`) serialize end-to-end on a private
+mutate lock, so the warm-start chain is a strict sequence even without
+the daemon's own serialization.  A second, *short-held* state lock
+guards only input snapshots, commits, and the read-side helpers
+(:meth:`stats`, :meth:`solution_document`) — the solver kernel itself
+runs outside both read-visible critical sections, so a health probe
+from any thread answers in microseconds while a solve is minutes deep.
 """
 
 from __future__ import annotations
@@ -51,8 +51,6 @@ import numpy as np
 
 from ..api import Solution, execute
 from ..baselines import resolve_solver_name
-from ..config import GameConfig
-from ..core.game import IddeUGame
 from ..core.instance import IDDEInstance
 from ..errors import ConfigurationError, SolverError
 from ..obs.tracer import RecordingTracer, Tracer
@@ -79,8 +77,9 @@ class SolverSession:
         (``spawn_rng(seed, "serve", epoch)``); its ``active`` mask seeds
         the initial workload state.
     tracer:
-        Recording tracer shared with the daemon's observability endpoints;
-        a private one is created when omitted.
+        Tracer shared with the daemon's observability endpoints (or a
+        streaming run's own); a private recording one is created when
+        omitted.
     resident:
         Optional prior :class:`~repro.api.Solution` to install as the
         resident solution before any request arrives — the warm-boot path
@@ -93,11 +92,12 @@ class SolverSession:
         instance: IDDEInstance,
         request: SolveRequest | None = None,
         *,
-        tracer: RecordingTracer | None = None,
+        tracer: Tracer | None = None,
         resident: Solution | None = None,
     ) -> None:
-        #: Serializes mutators (solve/apply_events) end-to-end.
-        self._mutate_lock = threading.Lock()
+        #: Serializes mutators (solve/fold/apply_events) end-to-end;
+        #: re-entrant so apply_events can fold under it.
+        self._mutate_lock = threading.RLock()
         #: Short-held state lock: snapshots, commits, and read helpers
         #: only — never held across a solver kernel.
         self._lock = threading.RLock()
@@ -109,6 +109,9 @@ class SolverSession:
         )
         self.request = self._adopt(request or SolveRequest())
         self.solution: Solution | None = resident
+        #: The projected instance :attr:`solution` was solved on (``None``
+        #: until the first solve).
+        self.solved_instance: IDDEInstance | None = None
         #: Epoch counter: -1 before the first solve; each solve/re-solve
         #: advances it and keys that solve's deterministic RNG stream.
         self.epoch = -1
@@ -195,20 +198,39 @@ class SolverSession:
                     self.state.active = prev_active
                 raise
 
+    def fold(self, events: Iterable[Event]) -> int:
+        """Fold one delta batch into the workload state, without a
+        re-solve; returns how many events applied.  A batch with an
+        invalid event leaves the state as it was."""
+        with self._mutate_lock, self._lock:
+            state = self.state
+            before = (state.positions.copy(), state.active.copy(), state.requests)
+            try:
+                applied = state.apply(tuple(events))
+            except Exception:
+                state.positions, state.active, state.requests = before
+                raise
+            self.events_applied += applied
+            return applied
+
     def apply_events(self, events: Iterable[Event]) -> Solution:
         """Fold one delta batch into the state, then warm re-solve.
 
-        Returns the new certified solution.  If any event is invalid the
-        state is untouched (events are materialised and validated against
-        the universe before folding) and the resident solution survives.
+        Returns the new certified solution.  An invalid batch leaves the
+        state untouched; a failed solve leaves the resident solution.
         """
         with self._mutate_lock:
-            batch = tuple(events)
-            with self._lock:
-                applied = self.state.apply(batch)
-                self.events_applied += applied
-                warm = self.solution
-            return self._run(warm)
+            self.fold(events)
+            return self._run(self.solution)
+
+    def project(self) -> IDDEInstance:
+        """The base instance with the current workload state folded in."""
+        with self._lock:
+            return IDDEInstance(
+                self.state.scenario(self.instance.scenario),
+                self.instance.topology,
+                self.instance.radio,
+            )
 
     def _run(self, warm: Solution | None) -> Solution:
         """One epoch: snapshot under the state lock, solve outside it,
@@ -216,35 +238,31 @@ class SolverSession:
         chain stays strictly sequential; reads never wait on the kernel.
         """
         with self._lock:
-            projected = IDDEInstance(
-                self.state.scenario(self.instance.scenario),
-                self.instance.topology,
-                self.instance.radio,
-            )
+            projected = self.project()
             epoch = self.epoch + 1
             # Baselines have no game to re-enter or mask: they see churn
             # only through the projected scenario (inactive users request
             # nothing), exactly how the façade scopes warm_start/active.
             is_g = resolve_solver_name(self.request.solver) == "idde-g"
-            active = self.state.active.copy()
             request = self.request.with_runtime(
                 warm_start=warm if is_g else None,
-                active=active if is_g else None,
+                active=self.state.active.copy() if is_g else None,
                 rng=spawn_rng(self.seed, "serve", epoch),
             )
-            game_cfg = self.request.game_config or GameConfig()
         solution = execute(projected, request, tracer=self.tracer)
-        certified = self._certify(solution, projected, game_cfg, active)
+        certified = self._certify(solution)
         if certified is False:
             self.tracer.count("serve.certificate.failed")
             raise SolverError(
                 f"ε-Nash certificate failed on epoch {epoch}: the "
-                f"{solution.solver} allocation admits a profitable deviation "
-                f"at tol={solution.game.effective_epsilon:.3e}"
+                f"{solution.solver} allocation is not a certified equilibrium "
+                f"at tol={solution.game.effective_epsilon:.3e} "
+                f"(converged={solution.game.converged})"
             )
         with self._lock:
             self.epoch = epoch
             self.solution = solution
+            self.solved_instance = projected
             self.certified = certified
             self.solves += 1
             if warm is not None:
@@ -255,29 +273,12 @@ class SolverSession:
         self.tracer.observe("serve.solve_s", solution.wall_time_s)
         return solution
 
-    def _certify(
-        self,
-        solution: Solution,
-        instance: IDDEInstance,
-        game_cfg: GameConfig,
-        active: np.ndarray,
-    ) -> bool | None:
-        """Independent ε-Nash re-check on the instance actually served.
-
-        ``None`` for solvers with no game phase (baselines carry no
-        certificate to verify); otherwise the verdict of a fresh
-        :class:`~repro.core.game.IddeUGame` at the solve's own claimed
-        tolerance — the same re-derivation ``idde replay --verify`` does.
-        Runs lock-free on snapshotted inputs (the mask the solve saw).
-        """
-        if solution.game is None:
-            return None
-        with self.tracer.span("serve.certify"):
-            return IddeUGame(instance, game_cfg).is_nash(
-                solution.allocation,
-                tol=solution.game.effective_epsilon,
-                active=active,
-            )
+    def _certify(self, solution: Solution) -> bool | None:
+        """The solve's own ε-Nash certificate; ``None`` for baselines.
+        ``IddeUGame.run`` already checked the profile on a fresh engine
+        (over the same instance, tolerance and players), so re-running
+        ``is_nash`` here would only repeat it."""
+        return None if solution.game is None else solution.game.is_nash
 
     # ------------------------------------------------------------------
     # read side (safe mid-solve)

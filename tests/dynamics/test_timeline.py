@@ -6,7 +6,7 @@ import pytest
 from repro.core.instance import IDDEInstance
 from repro.datasets.melbourne import CBD_REGION
 from repro.dynamics import DynamicSimulation, waypoint_batches
-from repro.errors import ExperimentError
+from repro.errors import ConfigurationError, ExperimentError
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +30,7 @@ class TestBasics:
         assert rec.epoch == 0
         assert rec.r_avg > 0
         assert rec.migration.cloud_seeded == rec.migration.n_added  # cold fill
+        assert rec.reallocated_users == rec.solution.allocation.n_allocated
 
     def test_record_count(self, instance):
         records = walk(instance, epochs=5, dt=20.0)
@@ -38,6 +39,33 @@ class TestBasics:
     def test_policy_validation(self, instance):
         with pytest.raises(ExperimentError):
             DynamicSimulation(instance, policy="oracle")
+
+    def test_live_generator_rejected(self, instance):
+        with pytest.raises(ConfigurationError, match="integer seed"):
+            DynamicSimulation(instance).run_events([], rng=np.random.default_rng(0))
+
+    def test_epoch_streams_follow_the_session_rule(self, instance):
+        """Epoch ``e`` solves with ``spawn_rng(seed, "serve", e)``."""
+        from repro.api import solve
+        from repro.config import GameConfig
+        from repro.request import SolveRequest
+        from repro.rng import spawn_rng
+
+        cfg = GameConfig(schedule="random-winner")
+        records = DynamicSimulation(instance, game=cfg).run_events([], rng=4)
+        direct = solve(
+            instance,
+            SolveRequest(
+                solver="idde-g",
+                game_config=cfg,
+                active=np.ones(instance.n_users, dtype=bool),
+                rng=spawn_rng(4, "serve", 0),
+            ),
+        )
+        assert np.array_equal(
+            records[0].solution.allocation.server, direct.allocation.server
+        )
+        assert records[0].r_avg == direct.r_avg
 
     def test_zero_epochs_rejected(self, instance):
         with pytest.raises(ExperimentError):

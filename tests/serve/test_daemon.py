@@ -14,6 +14,7 @@ import time
 import urllib.request
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core.instance import IDDEInstance
@@ -136,7 +137,11 @@ class TestEndpoints:
         assert records[0]["schema"] == "idde-trace/1"
         assert records[0]["meta"]["source"] == "idde-serve"
         assert records[-1]["kind"] == "metrics"
-        assert any(r.get("name") == "serve.certify" for r in records)
+        # the served solves' certificates are the game's own checks
+        assert any(
+            r.get("name") == "game.run" and r["attrs"].get("is_nash") is True
+            for r in records
+        )
 
     def test_solve_accepts_request_document(self, instance):
         daemon = ServeDaemon(_session(instance))
@@ -254,6 +259,38 @@ class TestErrorPaths:
         error = json.loads(body)["error"]
         assert error["type"] == "RuntimeError"
         assert error["message"] == "kaboom"
+
+    def test_truncated_resolve_is_structured_500(self, instance):
+        from repro.api import solve
+        from repro.config import GameConfig
+
+        cfg = GameConfig(max_rounds=1)
+        mask = np.ones(instance.n_users, dtype=bool)
+        mask[0] = False
+        truncated = solve(
+            instance, SolveRequest(solver="idde-g", game_config=cfg, active=mask)
+        )
+        assert truncated.game.converged is False  # precondition: 1 round is short
+        session = SolverSession(
+            instance, SolveRequest(solver="idde-g", game_config=cfg)
+        )
+        daemon = ServeDaemon(session)
+        events = [{"kind": "leave", "t": 0.0, "user": 0}]
+
+        async def scenario(d):
+            return (
+                await _http(d.port, "POST", "/v1/events", {"events": events}),
+                await _http(d.port, "GET", "/v1/solution"),
+            )
+
+        ((status, body), (sol_status, _)), exit_code = _drive(daemon, scenario)
+        assert exit_code == 0
+        assert status == 500
+        error = json.loads(body)["error"]
+        assert error["type"] == "SolverError"
+        assert "converged=False" in error["message"]
+        assert sol_status == 409  # nothing uncertified became resident
+        assert session.tracer.counters.get("serve.certificate.failed") == 1
 
     def test_empty_events_body_is_400(self, instance):
         daemon = ServeDaemon(_session(instance))

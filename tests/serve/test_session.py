@@ -6,14 +6,25 @@ import numpy as np
 import pytest
 
 from repro.api import solve
+from repro.bench.fixtures import instance_for
 from repro.config import GameConfig
+from repro.core.game import IddeUGame
 from repro.core.instance import IDDEInstance
-from repro.errors import ConfigurationError, SolverError
+from repro.dynamics import DynamicSimulation
+from repro.errors import ConfigurationError, ScenarioError, SolverError
 from repro.obs import RecordingTracer
 from repro.request import SolveRequest
 from repro.rng import spawn_rng
 from repro.serve import SolverSession
-from repro.workload import Move, UserJoin, UserLeave
+from repro.workload import (
+    Move,
+    StreamConfig,
+    UserJoin,
+    UserLeave,
+    WorkloadState,
+    batch_by_count,
+    poisson_zipf_stream,
+)
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +65,23 @@ class TestLifecycle:
         rejoin = session.apply_events([UserJoin(t=3.0, user=0)])
         assert session.state.n_active == m
         assert rejoin.game.is_nash
+
+    def test_invalid_batch_leaves_state_untouched(self, instance):
+        session = SolverSession(instance, _warm_request())
+        first = session.solve()
+        before = session.state.positions.copy()
+        with pytest.raises(ScenarioError, match="out of range"):
+            session.apply_events(
+                [
+                    UserLeave(t=1.0, user=0),
+                    Move(t=1.0, user=1, x=10.0, y=20.0),
+                    UserLeave(t=2.0, user=10_000),
+                ]
+            )
+        assert session.state.n_active == instance.scenario.n_users
+        assert np.array_equal(session.state.positions, before)
+        assert session.events_applied == 0
+        assert session.solution is first
 
     def test_each_resolve_gets_fresh_epoch_stream(self, instance):
         session = SolverSession(instance, _warm_request(seed=7))
@@ -118,8 +146,6 @@ class TestCertification:
     def test_failed_certificate_keeps_resident(self, instance, monkeypatch):
         session = SolverSession(instance, _warm_request())
         first = session.solve()
-        from repro.core.game import IddeUGame
-
         monkeypatch.setattr(IddeUGame, "is_nash", lambda self, *a, **kw: False)
         with pytest.raises(SolverError, match="certificate failed"):
             session.apply_events([UserLeave(t=1.0, user=2)])
@@ -130,8 +156,26 @@ class TestCertification:
         tracer = RecordingTracer()
         session = SolverSession(instance, _warm_request(), tracer=tracer)
         session.solve()
-        assert any(s.name == "serve.certify" for s in tracer.spans)
+        # the served certificate is the one game.run proved and recorded
+        assert any(
+            s.name == "game.run" and s.attrs.get("is_nash") is True
+            for s in tracer.spans
+        )
         assert tracer.counters["serve.solves"] == 1
+
+    def test_truncated_run_is_never_served(self, instance):
+        cfg = GameConfig(max_rounds=1)
+        truncated = solve(instance, SolveRequest(solver="idde-g", game_config=cfg))
+        assert truncated.game.converged is False  # precondition: 1 round is short
+        prior = solve(instance, SolveRequest(solver="idde-g", rng=7))
+        session = SolverSession(
+            instance, SolveRequest(solver="idde-g", game_config=cfg), resident=prior
+        )
+        with pytest.raises(SolverError, match="converged=False"):
+            session.solve()
+        assert session.solution is prior
+        assert session.certified is None
+        assert session.tracer.counters.get("serve.certificate.failed") == 1
 
     def test_certifier_respects_game_config(self, instance):
         cfg = GameConfig(kernel="batched")
@@ -197,3 +241,62 @@ class TestSolutionDocument:
         assert doc["session"]["certified"] is True
         assert doc["session"]["n_active"] == instance.scenario.n_users - 1
         assert doc["request"]["warm_start"] is True
+
+
+def _churn(instance: IDDEInstance) -> list:
+    cfg = StreamConfig(arrival_rate=0.05, departure_rate=0.02, move_sigma=30.0)
+    events = poisson_zipf_stream(instance.scenario, rng=1, config=cfg, n_events=150)
+    return list(batch_by_count(events, 30))
+
+
+def _fresh_verdict(instance, cfg, solution, active) -> bool:
+    return IddeUGame(instance, cfg).is_nash(
+        solution.allocation, tol=solution.game.effective_epsilon, active=active
+    )
+
+
+SCHEDULES = ("round-robin", "best-gain-winner", "random-winner")
+KERNELS = ("reference", "batched")
+
+
+class TestCertificateEquivalence:
+    """The served certificate is ``game.run``'s own ``is_nash``; a fresh
+    game on the projected instance, at the solve's tolerance and over its
+    active players, reaches the same verdict on every epoch."""
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_warm_session_epochs(self, schedule, kernel):
+        base = instance_for("S", 0)
+        cfg = GameConfig(schedule=schedule, kernel=kernel)
+        session = SolverSession(
+            base,
+            SolveRequest(solver="idde-g", game_config=cfg, warm_start=True, rng=3),
+        )
+        batches = _churn(base)
+        for batch in [None, *batches]:
+            sol = session.solve() if batch is None else session.apply_events(batch)
+            verdict = _fresh_verdict(
+                session.solved_instance, cfg, sol, session.state.active
+            )
+            assert verdict == sol.game.is_nash == session.certified
+        assert session.warm_solves == len(batches)
+        assert session.state.n_active < base.n_users  # the stream churned
+
+    @pytest.mark.parametrize("policy", ("warm", "cold"))
+    def test_dynamic_simulation_records(self, policy):
+        base = instance_for("S", 0)
+        cfg = GameConfig(schedule="best-gain-winner", kernel="batched")
+        batches = _churn(base)
+        records = DynamicSimulation(base, policy=policy, game=cfg).run_events(
+            batches, rng=3
+        )
+        state = WorkloadState.from_scenario(base.scenario)
+        for rec, batch in zip(records, [None, *batches], strict=True):
+            if batch is not None:
+                state.apply(batch)
+            projected = IDDEInstance(
+                state.scenario(base.scenario), base.topology, base.radio
+            )
+            verdict = _fresh_verdict(projected, cfg, rec.solution, state.active)
+            assert verdict == rec.solution.game.is_nash

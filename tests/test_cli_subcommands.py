@@ -152,6 +152,17 @@ class TestReplay:
         assert all("ok" in line for line in lines[1:3])
         assert "speedup" in err
 
+    def test_verify_fails_on_a_false_certificate(self, capsys, monkeypatch):
+        from repro.core.game import IddeUGame
+
+        monkeypatch.setattr(IddeUGame, "is_nash", lambda self, *a, **kw: False)
+        code, out, err = _run(capsys, [*self.ARGS, "--verify"])
+        assert code == 1
+        lines = out.strip().splitlines()
+        assert lines[1].lstrip().startswith("warm") and "FAIL" in lines[1]
+        assert lines[2].lstrip().startswith("cold") and "FAIL" in lines[2]
+        assert "certification FAILED" in err
+
     def test_save_and_replay_round_trip(self, capsys, tmp_path):
         trace = tmp_path / "events.jsonl"
         code, out1, err = _run(

@@ -175,8 +175,11 @@ def main() -> int:
         check(records[0]["schema"] == "idde-trace/1", "bad trace schema")
         check(records[-1]["kind"] == "metrics", "trace does not end with metrics")
         check(
-            any(r.get("name") == "serve.certify" for r in records),
-            "no serve.certify span in the trace",
+            any(
+                r.get("name") == "game.run" and r["attrs"].get("is_nash") is True
+                for r in records
+            ),
+            "no certified game.run span in the trace",
         )
         print(f"serve_smoke: trace streamed ({len(records)} records)")
 
